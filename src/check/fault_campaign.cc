@@ -2,7 +2,6 @@
 
 #include <cstdio>
 #include <filesystem>
-#include <ostream>
 #include <unistd.h>
 
 #include "exec/fault.h"
@@ -120,19 +119,6 @@ class Scratch
     std::vector<std::string> files_;
 };
 
-/** Everything one case asserts; collects violations as strings. */
-struct CaseCheck
-{
-    std::vector<std::string> violations;
-
-    void
-    require(bool ok, const std::string &what)
-    {
-        if (!ok)
-            violations.push_back(what);
-    }
-};
-
 /** A tiny deterministic source trace for the corruption cases. */
 trace::AtumLikeConfig
 smallTrace(std::uint64_t case_seed, std::uint64_t refs)
@@ -152,7 +138,7 @@ smallTrace(std::uint64_t case_seed, std::uint64_t refs)
  */
 std::uint64_t
 drainBounded(trace::TraceSource &src, std::uint64_t bound,
-             CaseCheck &chk)
+             ViolationLog &chk)
 {
     trace::MemRef r;
     std::uint64_t n = 0;
@@ -166,7 +152,7 @@ drainBounded(trace::TraceSource &src, std::uint64_t bound,
 /** Post-stream contract every reader must satisfy. */
 void
 checkReaderContract(const trace::TraceSource &src, ErrorMode mode,
-                    std::uint64_t max_skips, CaseCheck &chk)
+                    std::uint64_t max_skips, ViolationLog &chk)
 {
     if (src.failed()) {
         ErrorCode c = src.error().code();
@@ -188,7 +174,7 @@ checkReaderContract(const trace::TraceSource &src, ErrorMode mode,
 /** Flip bytes of a din file and stream it back under @p mode. */
 void
 caseDinCorrupt(Scratch &scratch, std::uint64_t case_seed,
-               ErrorMode mode, CaseCheck &chk)
+               ErrorMode mode, ViolationLog &chk)
 {
     Pcg32 rng(case_seed, /*stream=*/0x64696eULL);
     std::uint64_t refs = 100 + rng.below(400);
@@ -228,7 +214,7 @@ caseDinCorrupt(Scratch &scratch, std::uint64_t case_seed,
 /** Truncate a bin file and stream it back under a sampled policy. */
 void
 caseBinTruncate(Scratch &scratch, std::uint64_t case_seed,
-                CaseCheck &chk)
+                ViolationLog &chk)
 {
     Pcg32 rng(case_seed, /*stream=*/0x62696eULL);
     std::uint64_t refs = 100 + rng.below(400);
@@ -273,7 +259,7 @@ caseBinTruncate(Scratch &scratch, std::uint64_t case_seed,
 /** Flip body bytes of a bin file (header protected). */
 void
 caseBinCorrupt(Scratch &scratch, std::uint64_t case_seed,
-               CaseCheck &chk)
+               ViolationLog &chk)
 {
     Pcg32 rng(case_seed, /*stream=*/0x626332ULL);
     std::uint64_t refs = 100 + rng.below(400);
@@ -312,7 +298,7 @@ caseBinCorrupt(Scratch &scratch, std::uint64_t case_seed,
  */
 void
 checkFtrContract(const trace::FtrTraceSource &src, ErrorMode mode,
-                 std::uint64_t max_skips, CaseCheck &chk)
+                 std::uint64_t max_skips, ViolationLog &chk)
 {
     if (src.failed()) {
         ErrorCode c = src.error().code();
@@ -339,7 +325,7 @@ checkFtrContract(const trace::FtrTraceSource &src, ErrorMode mode,
 std::uint64_t
 writeSmallFtr(const trace::AtumLikeConfig &cfg,
               const std::string &path, std::uint32_t frame_records,
-              CaseCheck &chk)
+              ViolationLog &chk)
 {
     trace::AtumLikeGenerator gen(cfg);
     trace::FtrWriter::Options wopt;
@@ -358,7 +344,7 @@ writeSmallFtr(const trace::AtumLikeConfig &cfg,
  *  resync with exact per-record damage accounting. */
 void
 caseFtrCorrupt(Scratch &scratch, std::uint64_t case_seed,
-               CaseCheck &chk)
+               ViolationLog &chk)
 {
     Pcg32 rng(case_seed, /*stream=*/0x667472ULL);
     std::uint64_t refs = 100 + rng.below(400);
@@ -413,7 +399,7 @@ caseFtrCorrupt(Scratch &scratch, std::uint64_t case_seed,
  *  the index and account for every lost record. */
 void
 caseFtrTruncate(Scratch &scratch, std::uint64_t case_seed,
-                CaseCheck &chk)
+                ViolationLog &chk)
 {
     Pcg32 rng(case_seed, /*stream=*/0x667431ULL);
     std::uint64_t refs = 100 + rng.below(400);
@@ -468,7 +454,7 @@ caseFtrTruncate(Scratch &scratch, std::uint64_t case_seed,
  *  stream bit-identically, zero records skipped. */
 void
 caseFtrTornFooter(Scratch &scratch, std::uint64_t case_seed,
-                  CaseCheck &chk)
+                  ViolationLog &chk)
 {
     Pcg32 rng(case_seed, /*stream=*/0x667432ULL);
     std::uint64_t refs = 100 + rng.below(400);
@@ -530,7 +516,7 @@ caseFtrTornFooter(Scratch &scratch, std::uint64_t case_seed,
  *  silently deliver a prefix as a complete stream. */
 void
 caseIoShortRead(Scratch &scratch, std::uint64_t case_seed,
-                CaseCheck &chk, std::uint64_t &faults)
+                ViolationLog &chk, std::uint64_t &faults)
 {
     Pcg32 rng(case_seed, /*stream=*/0x736872ULL);
     std::uint64_t refs = 100 + rng.below(400);
@@ -576,7 +562,7 @@ caseIoShortRead(Scratch &scratch, std::uint64_t case_seed,
  *  and skip mode never skips past it. */
 void
 caseIoError(Scratch &scratch, std::uint64_t case_seed,
-            CaseCheck &chk, std::uint64_t &faults)
+            ViolationLog &chk, std::uint64_t &faults)
 {
     Pcg32 rng(case_seed, /*stream=*/0x65696fULL);
     std::uint64_t refs = 100 + rng.below(400);
@@ -655,18 +641,19 @@ baselineOutputs(const std::vector<sim::RunSpec> &specs,
 {
     exec::SweepOptions opt;
     opt.jobs = 1;
-    std::vector<sim::RunOutput> outs =
-        exec::runSweep(specs, exec::atumTraceFactory(tcfg), opt);
     std::vector<std::string> enc;
-    for (const sim::RunOutput &o : outs)
-        enc.push_back(exec::encodeRunOutput(o));
+    for (const exec::JobResult &job :
+         exec::runSweepChecked(specs, exec::atumTraceFactory(tcfg), opt)
+             .jobs)
+        enc.push_back(job.ok() ? exec::encodeRunOutput(job.output)
+                               : "baseline failed: " + job.error.text());
     return enc;
 }
 
 /** Throw from inside a metered lookup of one job; the others must
  *  survive bit-identically. */
 void
-caseLookupThrow(std::uint64_t case_seed, CaseCheck &chk,
+caseLookupThrow(std::uint64_t case_seed, ViolationLog &chk,
                 std::uint64_t &faults)
 {
     Pcg32 rng(case_seed, /*stream=*/0x617564ULL);
@@ -715,7 +702,7 @@ caseLookupThrow(std::uint64_t case_seed, CaseCheck &chk,
 
 /** A transient (Io) first-attempt failure must be retried away. */
 void
-caseTransientRetry(std::uint64_t case_seed, CaseCheck &chk,
+caseTransientRetry(std::uint64_t case_seed, ViolationLog &chk,
                    std::uint64_t &faults)
 {
     Pcg32 rng(case_seed, /*stream=*/0x726574ULL);
@@ -767,7 +754,7 @@ caseTransientRetry(std::uint64_t case_seed, CaseCheck &chk,
  *  must be bit-identical to the uninterrupted run. */
 void
 caseCancelResume(Scratch &scratch, std::uint64_t case_seed,
-                 CaseCheck &chk, std::uint64_t &faults)
+                 ViolationLog &chk, std::uint64_t &faults)
 {
     Pcg32 rng(case_seed, /*stream=*/0x726573ULL);
     trace::AtumLikeConfig tcfg = smallTrace(case_seed, 2000);
@@ -837,7 +824,7 @@ caseCancelResume(Scratch &scratch, std::uint64_t case_seed,
  */
 void
 caseHang(Scratch &scratch, std::uint64_t case_seed,
-         std::uint64_t job_timeout_ns, CaseCheck &chk,
+         std::uint64_t job_timeout_ns, ViolationLog &chk,
          std::uint64_t &faults)
 {
     Pcg32 rng(case_seed, /*stream=*/0x68616e67ULL);
@@ -931,7 +918,7 @@ caseHang(Scratch &scratch, std::uint64_t case_seed,
  *  armed, yet every slot completes on the first attempt with output
  *  bit-identical to the serial run. */
 void
-caseSlow(std::uint64_t case_seed, CaseCheck &chk,
+caseSlow(std::uint64_t case_seed, ViolationLog &chk,
          std::uint64_t &faults)
 {
     Pcg32 rng(case_seed, /*stream=*/0x736c6f77ULL);
@@ -979,7 +966,7 @@ caseSlow(std::uint64_t case_seed, CaseCheck &chk,
  *  the first attempt (budgets are deterministic — never retried),
  *  with siblings bit-identical. */
 void
-caseOom(std::uint64_t case_seed, CaseCheck &chk,
+caseOom(std::uint64_t case_seed, ViolationLog &chk,
         std::uint64_t &faults)
 {
     Pcg32 rng(case_seed, /*stream=*/0x6f6f6dULL);
@@ -1038,37 +1025,49 @@ caseOom(std::uint64_t case_seed, CaseCheck &chk,
 
 } // namespace
 
+ReproFlags
+faultReproFlags(std::uint64_t job_timeout_ns)
+{
+    ReproFlags flags{"--inject-faults", {}};
+    if (job_timeout_ns != 0)
+        flags.args.push_back("--job-timeout=" +
+                             std::to_string(job_timeout_ns) + "ns");
+    return flags;
+}
+
 FaultCampaignSummary
-runFaultCampaign(const FaultCampaignOptions &opt)
+runFaultCampaign(const CampaignOptions &opt,
+                 std::uint64_t job_timeout_ns)
 {
     FaultCampaignSummary sum;
 
-    std::string dir = opt.scratch_dir;
-    if (dir.empty()) {
-        dir = (fs::temp_directory_path() /
-               ("assoc_fault_" + std::to_string(::getpid())))
-                  .string();
-    }
+    const std::string dir =
+        (fs::temp_directory_path() /
+         ("assoc_fault_" + std::to_string(::getpid())))
+            .string();
     std::error_code ec;
     fs::create_directories(dir, ec);
     if (ec) {
-        sum.failures.push_back(
-            {0, "setup",
-             "cannot create scratch directory " + dir + ": " +
-                 ec.message()});
+        CaseFailure f;
+        f.description = "setup";
+        f.messages = {"cannot create scratch directory " + dir + ": " +
+                      ec.message()};
+        sum.failures.push_back(f);
         return sum;
     }
 
-    std::uint64_t begin = opt.have_only_case ? opt.only_case : 0;
-    std::uint64_t end =
-        opt.have_only_case ? opt.only_case + 1 : opt.iterations;
-    for (std::uint64_t i = begin; i < end; ++i) {
-        std::uint64_t case_seed =
-            SplitMix64(opt.seed ^ (i * 0x9E3779B97F4A7C15ULL))
-                .next();
-        FaultKind kind = static_cast<FaultKind>(i % kFaultKinds);
+    Campaign campaign;
+    campaign.name = "fault";
+    campaign.repro = faultReproFlags(job_timeout_ns);
+    campaign.run = [&](std::uint64_t i) {
+        const std::uint64_t case_seed =
+            SplitMix64(opt.seed ^ (i * 0x9E3779B97F4A7C15ULL)).next();
+        const FaultKind kind = static_cast<FaultKind>(i % kFaultKinds);
+        CaseOutcome out;
+        out.case_seed = case_seed;
+        out.description = kindName(kind);
         Scratch scratch(dir);
-        CaseCheck chk;
+        ViolationLog &chk = out.log;
 
         switch (kind) {
           case FaultKind::DinCorruptFailFast:
@@ -1099,7 +1098,7 @@ runFaultCampaign(const FaultCampaignOptions &opt)
                              sum.faults_injected);
             break;
           case FaultKind::Hang:
-            caseHang(scratch, case_seed, opt.job_timeout_ns, chk,
+            caseHang(scratch, case_seed, job_timeout_ns, chk,
                      sum.faults_injected);
             break;
           case FaultKind::Slow:
@@ -1126,32 +1125,9 @@ runFaultCampaign(const FaultCampaignOptions &opt)
                         sum.faults_injected);
             break;
         }
-        ++sum.cases_run;
-
-        if (!chk.violations.empty()) {
-            FaultFailure f;
-            f.index = i;
-            f.kind = kindName(kind);
-            f.message = chk.violations.front();
-            sum.failures.push_back(f);
-            if (opt.log) {
-                *opt.log << "fault case " << i << " (" << f.kind
-                         << "): " << chk.violations.size()
-                         << " contract violation(s)\n";
-                for (const std::string &v : chk.violations)
-                    *opt.log << "  " << v << "\n";
-                *opt.log << "  repro: fuzz_diff --inject-faults"
-                         << " --seed=" << opt.seed
-                         << " --config=" << i;
-                if (opt.job_timeout_ns != 0)
-                    *opt.log << " --job-timeout="
-                             << opt.job_timeout_ns << "ns";
-                *opt.log << "\n";
-            }
-            if (sum.failures.size() >= opt.max_failures)
-                break;
-        }
-    }
+        return out;
+    };
+    runCampaign(opt, campaign, sum);
 
     fs::remove_all(dir, ec); // best-effort scratch cleanup
     return sum;

@@ -21,61 +21,41 @@
  *
  * Everything is a pure function of (master seed, case index); every
  * failing case prints a one-line
- * `fuzz_diff --inject-faults --seed=... --config=...` repro.
+ * `fuzz_diff --inject-faults --seed=... --config=...` repro
+ * (check/campaign.h).
  */
 
 #ifndef ASSOC_CHECK_FAULT_CAMPAIGN_H
 #define ASSOC_CHECK_FAULT_CAMPAIGN_H
 
 #include <cstdint>
-#include <iosfwd>
-#include <string>
-#include <vector>
+
+#include "check/campaign.h"
 
 namespace assoc {
 namespace check {
 
-/** Campaign parameters. */
-struct FaultCampaignOptions
-{
-    std::uint64_t seed = 1;
-    std::uint64_t iterations = 200;
-    /** Run only this case index (repro mode). */
-    bool have_only_case = false;
-    std::uint64_t only_case = 0;
-    /** Stop after this many failing cases. */
-    unsigned max_failures = 1;
-    /** Directory for scratch trace/journal files ("" = the system
-     *  temp directory). Files are removed per case. */
-    std::string scratch_dir;
-    /** Progress/status stream (nullptr = silent). */
-    std::ostream *log = nullptr;
-    /** Per-job watchdog deadline for the hang cases, nanoseconds
-     *  (0 = a built-in 50ms). Repro lines carry it when set, so a
-     *  watchdog kill replays with the same timeout. */
-    std::uint64_t job_timeout_ns = 0;
-};
+/** The fuzz_diff flags that replay a fault case run with the
+ *  @p job_timeout_ns watchdog deadline (0 = the built-in one). */
+ReproFlags faultReproFlags(std::uint64_t job_timeout_ns);
 
-/** One failed fault case. */
-struct FaultFailure
+/** Campaign outcome. Each failure's description names the fault
+ *  family (see the campaign source). */
+struct FaultCampaignSummary : CampaignSummary
 {
-    std::uint64_t index = 0;
-    std::string kind;    ///< which fault family (see campaign source)
-    std::string message; ///< what contract was violated
-};
-
-/** Campaign outcome. */
-struct FaultCampaignSummary
-{
-    std::uint64_t cases_run = 0;
     std::uint64_t faults_injected = 0; ///< faults actually delivered
-    std::vector<FaultFailure> failures;
-
-    bool ok() const { return failures.empty(); }
 };
 
-/** Run the fault-injection campaign described by @p opt. */
-FaultCampaignSummary runFaultCampaign(const FaultCampaignOptions &opt);
+/**
+ * Run the fault-injection campaign. Scratch trace and journal files
+ * live in a per-process directory under the system temp directory,
+ * removed per case. @p job_timeout_ns is the per-job watchdog
+ * deadline for the hang cases (0 = a built-in 50ms); repro lines
+ * carry it when set, so a watchdog kill replays with the same
+ * timeout.
+ */
+FaultCampaignSummary runFaultCampaign(const CampaignOptions &opt,
+                                      std::uint64_t job_timeout_ns = 0);
 
 } // namespace check
 } // namespace assoc

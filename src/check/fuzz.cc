@@ -1,28 +1,19 @@
 #include "check/fuzz.h"
 
 #include <algorithm>
-#include <ostream>
 #include <sstream>
+#include <utility>
 
 #include "core/mru_lookup.h"
 #include "core/partial_lookup.h"
 #include "core/way_memo.h"
 #include "util/bitops.h"
+#include "util/digest.h"
 #include "util/logging.h"
 #include "util/rng.h"
 
 namespace assoc {
 namespace check {
-
-void
-digestMix(std::uint64_t &h, std::uint64_t v)
-{
-    constexpr std::uint64_t kFnvPrime = 1099511628211ULL;
-    for (unsigned i = 0; i < 8; ++i) {
-        h ^= (v >> (8 * i)) & 0xffu;
-        h *= kFnvPrime;
-    }
-}
 
 namespace {
 
@@ -30,8 +21,8 @@ namespace {
 void
 fnvMixMean(std::uint64_t &h, const MeanAccum &m)
 {
-    digestMix(h, m.count());
-    digestMix(h, static_cast<std::uint64_t>(m.sum()));
+    fnvMix(h, m.count());
+    fnvMix(h, static_cast<std::uint64_t>(m.sum()));
 }
 
 // ---------------------------------------------------------------
@@ -332,24 +323,34 @@ inclusionGuaranteed(const mem::HierarchyConfig &cfg)
            cfg.write_policy == mem::L1WritePolicy::WriteBack;
 }
 
+constexpr std::pair<BugInjection, const char *> kBugNames[] = {
+    {BugInjection::None, "none"},
+    {BugInjection::NaiveSkip, "naive-skip"},
+    {BugInjection::MruUndercount, "mru-undercount"},
+    {BugInjection::PartialFilter, "partial-filter"},
+    {BugInjection::MemoStale, "memo-stale"},
+};
+
 } // namespace
 
 BugInjection
 bugInjectionFromString(const std::string &s)
 {
-    if (s == "none")
-        return BugInjection::None;
-    if (s == "naive-skip")
-        return BugInjection::NaiveSkip;
-    if (s == "mru-undercount")
-        return BugInjection::MruUndercount;
-    if (s == "partial-filter")
-        return BugInjection::PartialFilter;
-    if (s == "memo-stale")
-        return BugInjection::MemoStale;
+    for (const auto &[bug, name] : kBugNames)
+        if (s == name)
+            return bug;
     fatal("unknown injection '" + s +
           "' (expected none|naive-skip|mru-undercount|partial-filter|"
           "memo-stale)");
+}
+
+const char *
+bugInjectionName(BugInjection bug)
+{
+    for (const auto &[b, name] : kBugNames)
+        if (b == bug)
+            return name;
+    return "?";
 }
 
 std::string
@@ -574,31 +575,31 @@ runCase(const FuzzCase &c, BugInjection inject,
             checkMemoOutcomeIdentity(c, meters, out.log);
         }
 
-        std::uint64_t h = kDigestInit;
+        std::uint64_t h = kFnvInit;
         const mem::HierarchyStats &hs = hier.stats();
-        digestMix(h, hs.proc_refs);
-        digestMix(h, hs.l1_hits);
-        digestMix(h, hs.read_ins);
-        digestMix(h, hs.read_in_hits);
-        digestMix(h, hs.write_backs);
-        digestMix(h, hs.write_back_hits);
-        digestMix(h, hs.hint_correct);
-        digestMix(h, hs.flushes);
-        digestMix(h, hs.inclusion_invalidations);
+        fnvMix(h, hs.proc_refs);
+        fnvMix(h, hs.l1_hits);
+        fnvMix(h, hs.read_ins);
+        fnvMix(h, hs.read_in_hits);
+        fnvMix(h, hs.write_backs);
+        fnvMix(h, hs.write_back_hits);
+        fnvMix(h, hs.hint_correct);
+        fnvMix(h, hs.flushes);
+        fnvMix(h, hs.inclusion_invalidations);
         for (const auto &m : meters) {
             const core::ProbeStats &ps = m->stats();
             fnvMixMean(h, ps.read_in_hits);
             fnvMixMean(h, ps.read_in_misses);
             fnvMixMean(h, ps.write_backs);
-            digestMix(h, ps.alias_hits);
-            digestMix(h, ps.alias_wrong_way);
-            digestMix(h, ps.memo_hits);
-            digestMix(h, ps.events.tag_reads);
-            digestMix(h, ps.events.field_reads);
-            digestMix(h, ps.events.tag_compares);
-            digestMix(h, ps.events.list_reads);
-            digestMix(h, ps.events.memo_reads);
-            digestMix(h, ps.events.memo_writes);
+            fnvMix(h, ps.alias_hits);
+            fnvMix(h, ps.alias_wrong_way);
+            fnvMix(h, ps.memo_hits);
+            fnvMix(h, ps.events.tag_reads);
+            fnvMix(h, ps.events.field_reads);
+            fnvMix(h, ps.events.tag_compares);
+            fnvMix(h, ps.events.list_reads);
+            fnvMix(h, ps.events.memo_reads);
+            fnvMix(h, ps.events.memo_writes);
         }
         out.digest = h;
     } catch (const PanicError &e) {
@@ -658,13 +659,6 @@ minimizeTrace(const FuzzCase &c, BugInjection inject)
 }
 
 std::string
-reproCommand(std::uint64_t seed, std::uint64_t index)
-{
-    return "fuzz_diff --seed=" + std::to_string(seed) +
-           " --config=" + std::to_string(index);
-}
-
-std::string
 formatRef(const trace::MemRef &r)
 {
     if (r.isFlush())
@@ -680,59 +674,50 @@ formatRef(const trace::MemRef &r)
     return os.str();
 }
 
-FuzzSummary
-runFuzz(const FuzzOptions &opt)
+ReproFlags
+fuzzReproFlags(BugInjection inject)
 {
-    FuzzSummary out;
-    std::uint64_t h = kDigestInit;
-    const std::uint64_t begin =
-        opt.have_only_case ? opt.only_case : 0;
-    const std::uint64_t end =
-        opt.have_only_case ? opt.only_case + 1 : opt.iterations;
+    ReproFlags flags;
+    if (inject != BugInjection::None)
+        flags.args.push_back(std::string("--inject=") +
+                             bugInjectionName(inject));
+    return flags;
+}
 
-    for (std::uint64_t i = begin; i < end; ++i) {
-        const FuzzCase c = sampleCase(opt.seed, i);
-        const CaseResult r = runCase(c, opt.inject);
-        ++out.cases_run;
-        out.accesses += r.accesses;
-        digestMix(h, r.digest);
+FuzzSummary
+runFuzz(const CampaignOptions &opt, BugInjection inject, bool minimize)
+{
+    FuzzSummary sum;
+    Campaign campaign;
+    campaign.name = "fuzz";
+    campaign.repro = fuzzReproFlags(inject);
+    campaign.progress_every = 2000;
+    campaign.progress = [&sum] {
+        return std::to_string(sum.accesses) + " lookups audited";
+    };
+    campaign.run = [&](std::uint64_t index) {
+        const FuzzCase c = sampleCase(opt.seed, index);
+        CaseResult r = runCase(c, inject);
+        sum.accesses += r.accesses;
 
-        if (opt.log && !opt.have_only_case &&
-            (i + 1) % 2000 == 0)
-            *opt.log << "fuzz: " << (i + 1) << "/" << opt.iterations
-                     << " cases, " << out.accesses
-                     << " lookups audited\n";
-
-        if (r.log.ok())
-            continue;
-
-        FuzzFailure f;
-        f.index = i;
-        f.case_seed = c.case_seed;
-        f.description = c.describe();
-        f.messages = r.log.messages();
-        f.minimized = opt.minimize ? minimizeTrace(c, opt.inject)
-                                   : c.refs;
-        if (opt.log) {
-            std::ostream &os = *opt.log;
-            os << "FAIL case " << i << ": " << f.description << "\n";
-            for (const std::string &m : f.messages)
-                os << "  violation: " << m << "\n";
-            if (r.log.count() >
-                static_cast<std::uint64_t>(f.messages.size()))
-                os << "  ... " << r.log.count() << " violations total\n";
-            os << "  minimized trace (" << f.minimized.size()
-               << " refs):\n";
-            for (const trace::MemRef &ref : f.minimized)
-                os << "    " << formatRef(ref) << "\n";
-            os << "  repro: " << reproCommand(opt.seed, i) << "\n";
+        CaseOutcome out;
+        out.case_seed = c.case_seed;
+        out.description = c.describe();
+        out.digest = r.digest;
+        if (!r.log.ok()) {
+            const std::vector<trace::MemRef> refs =
+                minimize ? minimizeTrace(c, inject) : c.refs;
+            out.detail.push_back("minimized trace (" +
+                                 std::to_string(refs.size()) +
+                                 " refs):");
+            for (const trace::MemRef &ref : refs)
+                out.detail.push_back("  " + formatRef(ref));
         }
-        out.failures.push_back(std::move(f));
-        if (out.failures.size() >= opt.max_failures)
-            break;
-    }
-    out.digest = h;
-    return out;
+        out.log = std::move(r.log);
+        return out;
+    };
+    runCampaign(opt, campaign, sum);
+    return sum;
 }
 
 } // namespace check

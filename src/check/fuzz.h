@@ -16,17 +16,18 @@
  *
  * Everything is a pure function of (master seed, case index): every
  * failure prints a one-line `fuzz_diff --seed=... --config=...`
- * repro command plus a minimized counterexample trace.
+ * repro command (check/campaign.h) plus a minimized counterexample
+ * trace.
  */
 
 #ifndef ASSOC_CHECK_FUZZ_H
 #define ASSOC_CHECK_FUZZ_H
 
 #include <cstdint>
-#include <iosfwd>
 #include <string>
 #include <vector>
 
+#include "check/campaign.h"
 #include "check/invariants.h"
 #include "core/scheme.h"
 #include "mem/hierarchy.h"
@@ -56,12 +57,8 @@ enum class BugInjection {
  *  "partial-filter" / "memo-stale". */
 BugInjection bugInjectionFromString(const std::string &s);
 
-/** FNV-1a 64-bit offset basis: start value for digest chains. */
-constexpr std::uint64_t kDigestInit = 0xcbf29ce484222325ULL;
-
-/** Fold @p v (8 bytes, little-endian) into FNV-1a digest @p h.
- *  Platform-independent: all determinism tests compare these. */
-void digestMix(std::uint64_t &h, std::uint64_t v);
+/** The `--inject` spelling of @p bug (inverse of the parser). */
+const char *bugInjectionName(BugInjection bug);
 
 /** One sampled fuzz case: a pure function of its case seed. */
 struct FuzzCase
@@ -107,53 +104,27 @@ CaseResult runCase(const FuzzCase &c,
 std::vector<trace::MemRef> minimizeTrace(const FuzzCase &c,
                                          BugInjection inject);
 
-/** The one-line repro command for (seed, case index). */
-std::string reproCommand(std::uint64_t seed, std::uint64_t index);
-
 /** Render one reference ("R 0x12345678 pid=1"). */
 std::string formatRef(const trace::MemRef &r);
 
-/** One failing case, ready to report. */
-struct FuzzFailure
-{
-    std::uint64_t index = 0;
-    std::uint64_t case_seed = 0;
-    std::string description;
-    std::vector<std::string> messages;
-    std::vector<trace::MemRef> minimized;
-};
-
-/** Fuzzing campaign parameters. */
-struct FuzzOptions
-{
-    std::uint64_t seed = 1;
-    std::uint64_t iterations = 1000;
-    /** Run only this case index (repro mode). */
-    bool have_only_case = false;
-    std::uint64_t only_case = 0;
-    BugInjection inject = BugInjection::None;
-    /** Stop after this many failing cases. */
-    unsigned max_failures = 1;
-    /** Skip trace minimization on failures. */
-    bool minimize = true;
-    /** Progress/status stream (nullptr = silent). */
-    std::ostream *log = nullptr;
-};
+/** The fuzz_diff flags that replay a scheme-fuzzer case run with
+ *  @p inject. */
+ReproFlags fuzzReproFlags(BugInjection inject);
 
 /** Campaign outcome. */
-struct FuzzSummary
+struct FuzzSummary : CampaignSummary
 {
-    std::uint64_t cases_run = 0;
-    std::uint64_t accesses = 0;  ///< audited lookups, all cases
-    std::uint64_t digest = 0;    ///< order-sensitive digest of all
-                                 ///< case digests (determinism tests)
-    std::vector<FuzzFailure> failures;
-
-    bool ok() const { return failures.empty(); }
+    std::uint64_t accesses = 0; ///< audited lookups, all cases
 };
 
-/** Run the campaign described by @p opt. */
-FuzzSummary runFuzz(const FuzzOptions &opt);
+/**
+ * Run the scheme-fuzzer campaign: every case with @p inject in
+ * place of the real scheme, failing traces shrunk by
+ * minimizeTrace() unless @p minimize is false.
+ */
+FuzzSummary runFuzz(const CampaignOptions &opt,
+                    BugInjection inject = BugInjection::None,
+                    bool minimize = true);
 
 } // namespace check
 } // namespace assoc

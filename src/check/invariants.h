@@ -57,6 +57,14 @@ class ViolationLog
     /** Record one violation. */
     void add(const std::string &message);
 
+    /** Record @p message as a violation unless @p ok holds. */
+    void
+    require(bool ok, const std::string &message)
+    {
+        if (!ok)
+            add(message);
+    }
+
     /** Total violations recorded (including dropped messages). */
     std::uint64_t count() const { return count_; }
 

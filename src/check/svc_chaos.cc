@@ -1,11 +1,9 @@
 #include "check/svc_chaos.h"
 
 #include <exception>
-#include <ostream>
 #include <sstream>
-#include <thread>
 
-#include "check/fuzz.h"
+#include "util/digest.h"
 #include "util/rng.h"
 
 namespace assoc {
@@ -57,14 +55,14 @@ void
 digestAdmission(std::uint64_t &h, const svc::AdmissionStats &a,
                 bool storm_deterministic)
 {
-    digestMix(h, a.admitted);
-    digestMix(h, a.shed_quota);
-    digestMix(h, a.shed_writes);
-    digestMix(h, a.degraded);
+    fnvMix(h, a.admitted);
+    fnvMix(h, a.shed_quota);
+    fnvMix(h, a.shed_writes);
+    fnvMix(h, a.degraded);
     // Deadline-storm deadlines are pre-expired: the timeout verdict
     // never consults a clock, so it is deterministic there (only).
     if (storm_deterministic)
-        digestMix(h, a.failed_timeout);
+        fnvMix(h, a.failed_timeout);
 }
 
 } // namespace
@@ -157,8 +155,8 @@ SvcChaosRun
 runSvcChaosCase(const SvcChaosCase &c)
 {
     SvcChaosRun out;
-    out.determinism_digest = kDigestInit;
-    digestMix(out.determinism_digest, c.case_seed);
+    out.determinism_digest = kFnvInit;
+    fnvMix(out.determinism_digest, c.case_seed);
     const bool storm =
         c.fault.svc_fault == exec::SvcFaultKind::DeadlineStorm;
     const bool squeeze =
@@ -170,70 +168,44 @@ runSvcChaosCase(const SvcChaosCase &c)
         svc::SvcConfig cfg = c.cfg;
         cfg.engine.lock_hold_hook = injector.lockStallHook();
 
-        Expected<std::unique_ptr<svc::CacheService>> svcE =
-            svc::CacheService::create(c.geom, cfg, nullptr);
-        if (!svcE.ok())
-            throwError(svcE.error());
-        std::unique_ptr<svc::CacheService> service = svcE.take();
-
-        CancelToken root; // never trips; exercises the bound path
         std::vector<svc::Session *> sessions;
-        for (unsigned t = 0; t < c.threads; ++t) {
-            Expected<svc::Session *> s = service->openSession();
-            if (!s.ok())
-                throwError(s.error());
-            s.value()->bindCancel(&root);
-            sessions.push_back(s.take());
-        }
+        std::unique_ptr<svc::CacheService> service =
+            openService(c.geom, cfg, c.threads, sessions);
+        CancelToken root; // never trips; exercises the bound path
+        for (svc::Session *s : sessions)
+            s->bindCancel(&root);
 
-        std::vector<std::string> thread_errors(c.threads);
-        std::vector<std::thread> workers;
-        for (unsigned t = 0; t < c.threads; ++t) {
-            workers.emplace_back([&, t]() {
-                try {
-                    const bool victim =
-                        c.fault.svc_victim >= 0 &&
-                        t == static_cast<unsigned>(
-                                 c.fault.svc_victim);
-                    std::vector<SvcOpSpec> ops = chaosOpStream(c, t);
-                    for (std::size_t i = 0; i < ops.size(); ++i) {
-                        if (squeeze && victim &&
-                            i == c.fault.svc_at)
-                            sessions[t]->drainQuota();
-                        Deadline dl = Deadline::never();
-                        if (storm && victim &&
-                            i >= c.fault.svc_at &&
-                            i < c.fault.svc_at +
-                                    c.fault.svc_storm_span)
-                            dl = Deadline::after(0);
-                        Expected<svc::OpResult> r =
-                            sessions[t]->request(ops[i].kind,
-                                                 ops[i].block,
-                                                 ops[i].is_write, dl);
-                        if (r.ok())
-                            continue;
-                        ErrorCode code = r.error().code();
-                        if (code != ErrorCode::Overloaded &&
-                            code != ErrorCode::Timeout &&
-                            code != ErrorCode::Cancelled &&
-                            thread_errors[t].empty())
-                            thread_errors[t] =
-                                "unexpected error shape: " +
+        runWorkers(
+            c.threads,
+            [&](unsigned t) {
+                const bool victim =
+                    c.fault.svc_victim >= 0 &&
+                    t == static_cast<unsigned>(c.fault.svc_victim);
+                std::string error;
+                std::vector<SvcOpSpec> ops = chaosOpStream(c, t);
+                for (std::size_t i = 0; i < ops.size(); ++i) {
+                    if (squeeze && victim && i == c.fault.svc_at)
+                        sessions[t]->drainQuota();
+                    Deadline dl = Deadline::never();
+                    if (storm && victim && i >= c.fault.svc_at &&
+                        i < c.fault.svc_at + c.fault.svc_storm_span)
+                        dl = Deadline::after(0);
+                    Expected<svc::OpResult> r = sessions[t]->request(
+                        ops[i].kind, ops[i].block, ops[i].is_write, dl);
+                    if (r.ok())
+                        continue;
+                    ErrorCode code = r.error().code();
+                    if (code != ErrorCode::Overloaded &&
+                        code != ErrorCode::Timeout &&
+                        code != ErrorCode::Cancelled && error.empty())
+                        error = "unexpected error shape: " +
                                 r.error().text();
-                    }
-                } catch (const std::exception &ex) {
-                    thread_errors[t] = ex.what();
                 }
-            });
-        }
-        for (std::thread &w : workers)
-            w.join();
-        for (unsigned t = 0; t < c.threads; ++t) {
+                return error;
+            },
+            "worker", out.log);
+        for (unsigned t = 0; t < c.threads; ++t)
             out.ops += streamLength(c, t);
-            if (!thread_errors[t].empty())
-                out.log.add("worker " + std::to_string(t) +
-                            ": " + thread_errors[t]);
-        }
 
         // 1. Conservation, per shard and merged.
         for (unsigned t = 0; t < c.threads; ++t)
@@ -271,74 +243,54 @@ runSvcChaosCase(const SvcChaosCase &c)
     return out;
 }
 
-std::string
-svcChaosReproCommand(std::uint64_t seed, std::uint64_t index)
+ReproFlags
+svcChaosReproFlags(unsigned threads)
 {
-    return "fuzz_diff --svc-chaos --seed=" + std::to_string(seed) +
-           " --config=" + std::to_string(index);
+    ReproFlags flags{"--svc-chaos", {}};
+    if (threads != 0)
+        flags.args.push_back("--threads=" + std::to_string(threads));
+    return flags;
 }
 
 SvcChaosSummary
-runSvcChaos(const SvcChaosOptions &opt)
+runSvcChaos(const CampaignOptions &opt, unsigned threads)
 {
-    SvcChaosSummary out;
-    std::uint64_t h = kDigestInit;
-    const std::uint64_t begin =
-        opt.have_only_case ? opt.only_case : 0;
-    const std::uint64_t end =
-        opt.have_only_case ? opt.only_case + 1 : opt.iterations;
-
-    for (std::uint64_t i = begin; i < end; ++i) {
+    SvcChaosSummary sum;
+    Campaign campaign;
+    campaign.name = "svc chaos";
+    campaign.repro = svcChaosReproFlags(threads);
+    campaign.progress_every = 200;
+    campaign.progress = [&sum] {
+        return std::to_string(sum.ops) + " requests, " +
+               std::to_string(sum.totals.shed()) + " shed";
+    };
+    campaign.run = [&](std::uint64_t index) {
         const SvcChaosCase c =
-            sampleSvcChaosCase(opt.seed, i, opt.threads);
+            sampleSvcChaosCase(opt.seed, index, threads);
         SvcChaosRun first = runSvcChaosCase(c);
         SvcChaosRun second = runSvcChaosCase(c);
-        ++out.cases_run;
-        out.ops += first.ops + second.ops;
-        out.totals.merge(first.totals);
-        digestMix(h, first.determinism_digest);
+        sum.ops += first.ops + second.ops;
+        sum.totals.merge(first.totals);
 
-        ViolationLog &log = first.log;
+        CaseOutcome out;
+        out.case_seed = c.case_seed;
+        out.description = c.describe();
+        out.digest = first.determinism_digest;
+        out.log = std::move(first.log);
         for (const std::string &m : second.log.messages())
-            log.add("rerun: " + m);
+            out.log.add("rerun: " + m);
         if (first.determinism_digest != second.determinism_digest) {
             std::ostringstream os;
             os << "determinism digest diverged across reruns: "
                << std::hex << first.determinism_digest << " vs "
                << second.determinism_digest
                << " (a shed counter depended on thread schedule)";
-            log.add(os.str());
+            out.log.add(os.str());
         }
-
-        if (opt.log && !opt.have_only_case && (i + 1) % 200 == 0)
-            *opt.log << "svc chaos: " << (i + 1) << "/"
-                     << opt.iterations << " cases, " << out.ops
-                     << " requests, " << out.totals.shed()
-                     << " shed\n";
-
-        if (log.ok())
-            continue;
-
-        SvcFuzzFailure f;
-        f.index = i;
-        f.case_seed = c.case_seed;
-        f.description = c.describe();
-        f.messages = log.messages();
-        if (opt.log) {
-            std::ostream &os = *opt.log;
-            os << "FAIL chaos case " << i << ": " << f.description
-               << "\n";
-            for (const std::string &m : f.messages)
-                os << "  violation: " << m << "\n";
-            os << "  repro: " << svcChaosReproCommand(opt.seed, i)
-               << "\n";
-        }
-        out.failures.push_back(std::move(f));
-        if (out.failures.size() >= opt.max_failures)
-            break;
-    }
-    out.digest = h;
-    return out;
+        return out;
+    };
+    runCampaign(opt, campaign, sum);
+    return sum;
 }
 
 } // namespace check

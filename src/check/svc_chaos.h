@@ -33,14 +33,14 @@
  *     structured Overloaded / Timeout / Cancelled shapes.
  *
  * Cases are pure functions of (seed, index); failures print
- * one-line `fuzz_diff --svc-chaos --seed=S --config=I` repros.
+ * one-line `fuzz_diff --svc-chaos --seed=S --config=I` repros,
+ * with `--threads=N` appended when the campaign pinned it.
  */
 
 #ifndef ASSOC_CHECK_SVC_CHAOS_H
 #define ASSOC_CHECK_SVC_CHAOS_H
 
 #include <cstdint>
-#include <iosfwd>
 #include <string>
 #include <vector>
 
@@ -86,44 +86,25 @@ struct SvcChaosRun
  *  and error shapes. Exceptions are caught and logged. */
 SvcChaosRun runSvcChaosCase(const SvcChaosCase &c);
 
-/** The one-line repro command for (seed, index). */
-std::string svcChaosReproCommand(std::uint64_t seed,
-                                 std::uint64_t index);
-
-/** Campaign parameters. */
-struct SvcChaosOptions
-{
-    std::uint64_t seed = 1;
-    std::uint64_t iterations = 200;
-    /** Thread count for every case (0 = sample per case). */
-    unsigned threads = 0;
-    /** Run only this case index (repro mode). */
-    bool have_only_case = false;
-    std::uint64_t only_case = 0;
-    /** Stop after this many failing cases. */
-    unsigned max_failures = 1;
-    /** Progress/status stream (nullptr = silent). */
-    std::ostream *log = nullptr;
-};
+/** The fuzz_diff flags that replay a case of the campaign run with
+ *  @p threads client threads per case (0 = sampled per case). */
+ReproFlags svcChaosReproFlags(unsigned threads);
 
 /** Campaign outcome. */
-struct SvcChaosSummary
+struct SvcChaosSummary : CampaignSummary
 {
-    std::uint64_t cases_run = 0;
     std::uint64_t ops = 0; ///< requests issued, all cases and runs
-    std::uint64_t digest = 0; ///< order-sensitive over case digests
     svc::AdmissionStats totals; ///< merged over all first runs
-    std::vector<SvcFuzzFailure> failures;
-
-    bool ok() const { return failures.empty(); }
 };
 
 /**
- * Run the campaign: every case executes twice (fresh service each
- * time) and the two runs' determinism digests must match exactly,
- * on top of each run's own invariants.
+ * Run the chaos campaign with @p threads client threads per case
+ * (0 = sample per case): every case executes twice (fresh service
+ * each time) and the two runs' determinism digests must match
+ * exactly, on top of each run's own invariants.
  */
-SvcChaosSummary runSvcChaos(const SvcChaosOptions &opt);
+SvcChaosSummary runSvcChaos(const CampaignOptions &opt,
+                            unsigned threads = 0);
 
 } // namespace check
 } // namespace assoc

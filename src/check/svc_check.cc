@@ -2,11 +2,10 @@
 
 #include <algorithm>
 #include <exception>
-#include <ostream>
 #include <sstream>
 #include <thread>
 
-#include "check/fuzz.h"
+#include "util/digest.h"
 #include "util/rng.h"
 
 namespace assoc {
@@ -325,48 +324,69 @@ checkAdmissionConservation(const svc::AdmissionStats &a,
     log.add(os.str());
 }
 
+std::unique_ptr<svc::CacheService>
+openService(const mem::CacheGeometry &geom, const svc::SvcConfig &cfg,
+            unsigned sessions, std::vector<svc::Session *> &out)
+{
+    Expected<std::unique_ptr<svc::CacheService>> created =
+        svc::CacheService::create(geom, cfg, nullptr);
+    if (!created.ok())
+        throwError(created.error());
+    std::unique_ptr<svc::CacheService> service = created.take();
+    for (unsigned t = 0; t < sessions; ++t) {
+        Expected<svc::Session *> s = service->openSession();
+        if (!s.ok())
+            throwError(s.error());
+        out.push_back(s.take());
+    }
+    return service;
+}
+
+void
+runWorkers(unsigned threads,
+           const std::function<std::string(unsigned)> &body,
+           const std::string &who, ViolationLog &log)
+{
+    std::vector<std::string> errors(threads);
+    {
+        // jthreads join on destruction, also when a later thread
+        // fails to start.
+        std::vector<std::jthread> workers;
+        for (unsigned t = 0; t < threads; ++t) {
+            workers.emplace_back([&, t]() {
+                try {
+                    errors[t] = body(t);
+                } catch (const std::exception &ex) {
+                    errors[t] = std::string("threw: ") + ex.what();
+                }
+            });
+        }
+    }
+    for (unsigned t = 0; t < threads; ++t)
+        if (!errors[t].empty())
+            log.add(who + " " + std::to_string(t) + ": " + errors[t]);
+}
+
 SvcCaseResult
 runSvcCase(const SvcFuzzCase &c)
 {
     SvcCaseResult out;
-    out.digest = kDigestInit;
-    digestMix(out.digest, c.case_seed);
+    out.digest = kFnvInit;
+    fnvMix(out.digest, c.case_seed);
 
     try {
         // --- Phase A: contended run + serializability replay ----
-        Expected<std::unique_ptr<svc::CacheService>> svcE =
-            svc::CacheService::create(c.geom, c.cfg, nullptr);
-        if (!svcE.ok())
-            throwError(svcE.error());
-        std::unique_ptr<svc::CacheService> service = svcE.take();
-
         std::vector<svc::Session *> sessions;
-        for (unsigned t = 0; t < c.threads; ++t) {
-            Expected<svc::Session *> s = service->openSession();
-            if (!s.ok())
-                throwError(s.error());
-            sessions.push_back(s.take());
-        }
-
-        std::vector<std::string> thread_errors(c.threads);
-        std::vector<std::thread> workers;
-        for (unsigned t = 0; t < c.threads; ++t) {
-            workers.emplace_back([&, t]() {
-                try {
-                    for (const SvcOpSpec &op : svcOpStream(c, t))
-                        sessions[t]->apply(op.kind, op.block,
-                                           op.is_write);
-                } catch (const std::exception &ex) {
-                    thread_errors[t] = ex.what();
-                }
-            });
-        }
-        for (std::thread &w : workers)
-            w.join();
-        for (unsigned t = 0; t < c.threads; ++t)
-            if (!thread_errors[t].empty())
-                out.log.add("worker " + std::to_string(t) +
-                            " threw: " + thread_errors[t]);
+        std::unique_ptr<svc::CacheService> service =
+            openService(c.geom, c.cfg, c.threads, sessions);
+        runWorkers(
+            c.threads,
+            [&](unsigned t) {
+                for (const SvcOpSpec &op : svcOpStream(c, t))
+                    sessions[t]->apply(op.kind, op.block, op.is_write);
+                return std::string();
+            },
+            "worker", out.log);
         out.ops += c.threads * c.ops_per_thread;
 
         bool overflowed = false;
@@ -392,56 +412,28 @@ runSvcCase(const SvcFuzzCase &c)
         dcfg.record_history = false;
         dcfg.tenant_salt_bits = 0;
 
-        Expected<std::unique_ptr<svc::CacheService>> serialE =
-            svc::CacheService::create(c.geom, dcfg, nullptr);
-        if (!serialE.ok())
-            throwError(serialE.error());
-        std::unique_ptr<svc::CacheService> serial = serialE.take();
-        Expected<svc::Session *> ses = serial->openSession();
-        if (!ses.ok())
-            throwError(ses.error());
-        svc::Session *serial_session = ses.take();
+        std::vector<svc::Session *> serial_session;
+        std::unique_ptr<svc::CacheService> serial =
+            openService(c.geom, dcfg, 1, serial_session);
         for (const SvcOpSpec &op : all)
-            serial_session->apply(op.kind, op.block, op.is_write);
+            serial_session[0]->apply(op.kind, op.block, op.is_write);
 
-        Expected<std::unique_ptr<svc::CacheService>> partE =
-            svc::CacheService::create(c.geom, dcfg, nullptr);
-        if (!partE.ok())
-            throwError(partE.error());
-        std::unique_ptr<svc::CacheService> part = partE.take();
         std::vector<svc::Session *> psessions;
-        for (unsigned t = 0; t < c.threads; ++t) {
-            Expected<svc::Session *> s = part->openSession();
-            if (!s.ok())
-                throwError(s.error());
-            psessions.push_back(s.take());
-        }
-        std::vector<std::string> perrors(c.threads);
-        std::vector<std::thread> pworkers;
-        for (unsigned t = 0; t < c.threads; ++t) {
-            pworkers.emplace_back([&, t]() {
-                try {
-                    // Disjoint-by-set partition: thread t owns the
-                    // sets congruent to t mod threads, in stream
-                    // order — per-set op order matches the serial
-                    // run exactly.
-                    for (const SvcOpSpec &op : all) {
-                        std::uint32_t set = c.geom.setOf(op.block);
-                        if (set % c.threads == t)
-                            psessions[t]->apply(op.kind, op.block,
-                                                op.is_write);
-                    }
-                } catch (const std::exception &ex) {
-                    perrors[t] = ex.what();
-                }
-            });
-        }
-        for (std::thread &w : pworkers)
-            w.join();
-        for (unsigned t = 0; t < c.threads; ++t)
-            if (!perrors[t].empty())
-                out.log.add("partition worker " + std::to_string(t) +
-                            " threw: " + perrors[t]);
+        std::unique_ptr<svc::CacheService> part =
+            openService(c.geom, dcfg, c.threads, psessions);
+        runWorkers(
+            c.threads,
+            [&](unsigned t) {
+                // Disjoint-by-set partition: thread t owns the sets
+                // congruent to t mod threads, in stream order —
+                // per-set op order matches the serial run exactly.
+                for (const SvcOpSpec &op : all)
+                    if (c.geom.setOf(op.block) % c.threads == t)
+                        psessions[t]->apply(op.kind, op.block,
+                                            op.is_write);
+                return std::string();
+            },
+            "partition worker", out.log);
         out.ops += 2 * all.size();
 
         svc::TenantStats serial_total = serial->totalStats();
@@ -449,79 +441,50 @@ runSvcCase(const SvcFuzzCase &c)
 
         // Digest only the serial outcomes: the contended phase's
         // hit/miss pattern is schedule-dependent by design.
-        digestMix(out.digest, serial_total.ops);
-        digestMix(out.digest, serial_total.hits());
-        digestMix(out.digest, serial_total.evictions);
-        digestMix(out.digest, serial_total.dirty_evictions);
-        digestMix(out.digest, static_cast<std::uint64_t>(
-                                  serial_total.hit_probes.sum()));
-        digestMix(out.digest, static_cast<std::uint64_t>(
-                                  serial_total.miss_probes.sum()));
+        fnvMix(out.digest, serial_total.ops);
+        fnvMix(out.digest, serial_total.hits());
+        fnvMix(out.digest, serial_total.evictions);
+        fnvMix(out.digest, serial_total.dirty_evictions);
+        fnvMix(out.digest,
+               static_cast<std::uint64_t>(serial_total.hit_probes.sum()));
+        fnvMix(out.digest,
+               static_cast<std::uint64_t>(serial_total.miss_probes.sum()));
     } catch (const std::exception &ex) {
         out.log.add(std::string("case threw: ") + ex.what());
     }
     return out;
 }
 
-std::string
-svcReproCommand(std::uint64_t seed, std::uint64_t index,
-                unsigned threads)
+ReproFlags
+svcReproFlags(unsigned threads)
 {
-    return "fuzz_diff --threads=" + std::to_string(threads) +
-           " --seed=" + std::to_string(seed) +
-           " --config=" + std::to_string(index);
+    return {"--threads=" + std::to_string(threads), {}};
 }
 
 SvcFuzzSummary
-runSvcFuzz(const SvcFuzzOptions &opt)
+runSvcFuzz(const CampaignOptions &opt, unsigned threads)
 {
-    SvcFuzzSummary out;
-    std::uint64_t h = kDigestInit;
-    const std::uint64_t begin =
-        opt.have_only_case ? opt.only_case : 0;
-    const std::uint64_t end =
-        opt.have_only_case ? opt.only_case + 1 : opt.iterations;
-
-    for (std::uint64_t i = begin; i < end; ++i) {
-        const SvcFuzzCase c =
-            sampleSvcCase(opt.seed, i, opt.threads);
-        const SvcCaseResult r = runSvcCase(c);
-        ++out.cases_run;
-        out.ops += r.ops;
-        digestMix(h, r.digest);
-
-        if (opt.log && !opt.have_only_case && (i + 1) % 500 == 0)
-            *opt.log << "svc fuzz: " << (i + 1) << "/"
-                     << opt.iterations << " cases, " << out.ops
-                     << " ops applied\n";
-
-        if (r.log.ok())
-            continue;
-
-        SvcFuzzFailure f;
-        f.index = i;
-        f.case_seed = c.case_seed;
-        f.description = c.describe();
-        f.messages = r.log.messages();
-        if (opt.log) {
-            std::ostream &os = *opt.log;
-            os << "FAIL svc case " << i << ": " << f.description
-               << "\n";
-            for (const std::string &m : f.messages)
-                os << "  violation: " << m << "\n";
-            if (r.log.count() >
-                static_cast<std::uint64_t>(f.messages.size()))
-                os << "  ... " << r.log.count()
-                   << " violations total\n";
-            os << "  repro: "
-               << svcReproCommand(opt.seed, i, c.threads) << "\n";
-        }
-        out.failures.push_back(std::move(f));
-        if (out.failures.size() >= opt.max_failures)
-            break;
-    }
-    out.digest = h;
-    return out;
+    SvcFuzzSummary sum;
+    Campaign campaign;
+    campaign.name = "svc fuzz";
+    campaign.repro = svcReproFlags(threads);
+    campaign.progress_every = 500;
+    campaign.progress = [&sum] {
+        return std::to_string(sum.ops) + " ops applied";
+    };
+    campaign.run = [&](std::uint64_t index) {
+        const SvcFuzzCase c = sampleSvcCase(opt.seed, index, threads);
+        SvcCaseResult r = runSvcCase(c);
+        sum.ops += r.ops;
+        CaseOutcome out;
+        out.case_seed = c.case_seed;
+        out.description = c.describe();
+        out.log = std::move(r.log);
+        out.digest = r.digest;
+        return out;
+    };
+    runCampaign(opt, campaign, sum);
+    return sum;
 }
 
 } // namespace check

@@ -26,17 +26,20 @@
  * The fuzzer samples (geometry, policy, stripe cap, op mix, thread
  * count) cases as pure functions of (seed, index) and runs both
  * phases per case; failures print one-line
- * `fuzz_diff --threads=T --seed=S --config=I` repro commands.
+ * `fuzz_diff --threads=T --seed=S --config=I` repro commands, T
+ * being the campaign's own `--threads` value (0 = sampled per case).
  */
 
 #ifndef ASSOC_CHECK_SVC_CHECK_H
 #define ASSOC_CHECK_SVC_CHECK_H
 
 #include <cstdint>
-#include <iosfwd>
+#include <functional>
+#include <memory>
 #include <string>
 #include <vector>
 
+#include "check/campaign.h"
 #include "check/invariants.h"
 #include "svc/service.h"
 
@@ -111,6 +114,23 @@ void checkAdmissionConservation(const svc::AdmissionStats &a,
                                 const std::string &who,
                                 ViolationLog &log);
 
+/** Create a service over @p geom / @p cfg and open @p sessions
+ *  sessions on it, appended to @p out. Throws ErrorException when
+ *  either step fails. */
+std::unique_ptr<svc::CacheService>
+openService(const mem::CacheGeometry &geom, const svc::SvcConfig &cfg,
+            unsigned sessions, std::vector<svc::Session *> &out);
+
+/**
+ * Run @p body(t) for every t in [0, @p threads), one thread each,
+ * and join them. A worker's error — the non-empty string its body
+ * returns, or an exception it throws — is logged as
+ * "<who> <t>: <error>".
+ */
+void runWorkers(unsigned threads,
+                const std::function<std::string(unsigned)> &body,
+                const std::string &who, ViolationLog &log);
+
 /** What running one case produced. */
 struct SvcCaseResult
 {
@@ -123,49 +143,20 @@ struct SvcCaseResult
  *  determinism phase. Exceptions are caught and logged. */
 SvcCaseResult runSvcCase(const SvcFuzzCase &c);
 
-/** The one-line repro command for (seed, index) at @p threads. */
-std::string svcReproCommand(std::uint64_t seed, std::uint64_t index,
-                            unsigned threads);
-
-/** One failing case, ready to report. */
-struct SvcFuzzFailure
-{
-    std::uint64_t index = 0;
-    std::uint64_t case_seed = 0;
-    std::string description;
-    std::vector<std::string> messages;
-};
-
-/** Campaign parameters. */
-struct SvcFuzzOptions
-{
-    std::uint64_t seed = 1;
-    std::uint64_t iterations = 200;
-    /** Thread count for every case (0 = sample per case). */
-    unsigned threads = 0;
-    /** Run only this case index (repro mode). */
-    bool have_only_case = false;
-    std::uint64_t only_case = 0;
-    /** Stop after this many failing cases. */
-    unsigned max_failures = 1;
-    /** Progress/status stream (nullptr = silent). */
-    std::ostream *log = nullptr;
-};
+/** The fuzz_diff flags that replay a case of the campaign run with
+ *  `--threads=@p threads` (0 = each case samples its own count). */
+ReproFlags svcReproFlags(unsigned threads);
 
 /** Campaign outcome. */
-struct SvcFuzzSummary
+struct SvcFuzzSummary : CampaignSummary
 {
-    std::uint64_t cases_run = 0;
-    std::uint64_t ops = 0;    ///< operations applied, all cases
-    std::uint64_t digest = 0; ///< order-sensitive digest of all
-                              ///< case digests
-    std::vector<SvcFuzzFailure> failures;
-
-    bool ok() const { return failures.empty(); }
+    std::uint64_t ops = 0; ///< operations applied, all cases
 };
 
-/** Run the campaign described by @p opt. */
-SvcFuzzSummary runSvcFuzz(const SvcFuzzOptions &opt);
+/** Run the service fuzz campaign with @p threads client threads per
+ *  case (0 = sample 2-4 per case). */
+SvcFuzzSummary runSvcFuzz(const CampaignOptions &opt,
+                          unsigned threads = 0);
 
 } // namespace check
 } // namespace assoc

@@ -4,33 +4,12 @@
 #include <cstring>
 #include <sstream>
 
+#include "util/digest.h"
+
 namespace assoc {
 namespace exec {
 
 namespace {
-
-constexpr std::uint64_t kFnvInit = 0xcbf29ce484222325ull;
-constexpr std::uint64_t kFnvPrime = 1099511628211ull;
-
-void
-fnvMix(std::uint64_t &h, std::uint64_t v)
-{
-    for (int i = 0; i < 8; ++i) {
-        h ^= (v >> (8 * i)) & 0xff;
-        h *= kFnvPrime;
-    }
-}
-
-std::uint64_t
-fnvString(const std::string &s)
-{
-    std::uint64_t h = kFnvInit;
-    for (char c : s) {
-        h ^= static_cast<unsigned char>(c);
-        h *= kFnvPrime;
-    }
-    return h;
-}
 
 std::string
 hex64(std::uint64_t v)

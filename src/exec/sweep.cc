@@ -79,23 +79,6 @@ runJobs(std::vector<std::function<void()>> jobs,
     pool.wait();
 }
 
-std::vector<sim::RunOutput>
-runSweep(const std::vector<sim::RunSpec> &specs,
-         const TraceFactory &make_trace, const SweepOptions &opts)
-{
-    std::vector<sim::RunOutput> outs(specs.size());
-    std::vector<std::function<void()>> jobs;
-    jobs.reserve(specs.size());
-    for (std::size_t i = 0; i < specs.size(); ++i) {
-        jobs.push_back([&specs, &outs, &make_trace, i] {
-            std::unique_ptr<trace::TraceSource> src = make_trace(i);
-            outs[i] = sim::runTrace(*src, specs[i]);
-        });
-    }
-    runJobs(std::move(jobs), opts);
-    return outs;
-}
-
 namespace {
 
 /** Map any exception from one attempt onto an Error. */

@@ -4,23 +4,22 @@
  *
  * Paper sweeps replay a seed-regenerated trace through many
  * independent RunSpecs; no mutable state is shared between runs, so
- * they are embarrassingly parallel. runSweep() fans a vector of
- * specs across a work-stealing ThreadPool — each job constructs its
- * own TraceSource from the shared seed via a caller-supplied
- * factory, so workers never share a generator — and returns the
- * RunOutputs *in submission order* regardless of completion order:
- * the result vector is bit-identical to what the old serial loop
- * produced.
+ * they are embarrassingly parallel. runSweepChecked() fans a vector
+ * of specs across a work-stealing ThreadPool — each job constructs
+ * its own TraceSource from the shared seed via a caller-supplied
+ * factory, so workers never share a generator — and returns one
+ * JobResult per spec *in submission order* regardless of completion
+ * order: every successful slot is bit-identical to what a serial
+ * sim::runTrace() loop over the specs produces.
  *
  * With jobs == 1 the sweep bypasses the pool entirely and runs each
- * spec inline, in order, on the calling thread: the exact old
- * serial path.
+ * spec inline, in order, on the calling thread.
  *
  * @code
  *   std::vector<sim::RunSpec> specs = ...;
  *   exec::SweepOptions opt;
  *   opt.jobs = 4;
- *   std::vector<sim::RunOutput> outs = exec::runSweep(
+ *   exec::SweepResult run = exec::runSweepChecked(
  *       specs, exec::atumTraceFactory(trace_cfg), opt);
  * @endcode
  */
@@ -128,17 +127,6 @@ TraceFactory fileTraceFactory(const std::string &path,
                               ErrorPolicy policy = ErrorPolicy());
 
 /**
- * Run every spec in @p specs against its own trace from
- * @p make_trace and return the outputs in submission order.
- * Exceptions from any job are rethrown (first one wins) after the
- * remaining jobs finish.
- */
-std::vector<sim::RunOutput>
-runSweep(const std::vector<sim::RunSpec> &specs,
-         const TraceFactory &make_trace,
-         const SweepOptions &opts = {});
-
-/**
  * Lower-level entry: run arbitrary independent thunks. Each job
  * must write its results into its own pre-allocated slot; jobs must
  * not share mutable state. With opts.jobs == 1 the jobs run inline
@@ -150,11 +138,12 @@ void runJobs(std::vector<std::function<void()>> jobs,
              const SweepOptions &opts = {});
 
 /**
- * Fault-isolated sweep: like runSweep(), but each slot records its
- * own JobResult instead of the first exception aborting the whole
- * run. Per job: bounded deterministic retry (opts.max_retries, Io
- * errors only by default), wall-time measurement, optional journal
- * checkpointing and resume, and cooperative cancellation.
+ * Fault-isolated sweep: run every spec in @p specs against its own
+ * trace from @p make_trace; each slot records its own JobResult, so
+ * one failing job never aborts the others. Per job: bounded
+ * deterministic retry (opts.max_retries, Io errors only by
+ * default), wall-time measurement, optional journal checkpointing
+ * and resume, and cooperative cancellation.
  *
  * Slots completed by earlier attempts are bit-identical to what the
  * serial path produces — isolation only wraps the job boundary, it

@@ -53,13 +53,11 @@ std::vector<std::string>
 serialBaseline(const std::vector<sim::RunSpec> &specs,
                const trace::AtumLikeConfig &tcfg)
 {
-    SweepOptions opts;
-    opts.jobs = 1;
-    std::vector<sim::RunOutput> outs =
-        runSweep(specs, atumTraceFactory(tcfg), opts);
     std::vector<std::string> enc;
-    for (const sim::RunOutput &o : outs)
-        enc.push_back(encodeRunOutput(o));
+    for (const sim::RunSpec &spec : specs) {
+        trace::AtumLikeGenerator gen(tcfg);
+        enc.push_back(encodeRunOutput(sim::runTrace(gen, spec)));
+    }
     return enc;
 }
 
@@ -258,20 +256,6 @@ TEST(FaultSweep, CheckedJsonReportsPerJobStatus)
               std::count(json.begin(), json.end(), '}'));
     EXPECT_EQ(std::count(json.begin(), json.end(), '['),
               std::count(json.begin(), json.end(), ']'));
-}
-
-TEST(FaultSweep, LegacyRunSweepStillThrowsOnFailure)
-{
-    // The unchecked entry keeps its contract: a failing job aborts
-    // the sweep by rethrowing (callers opt into isolation).
-    trace::AtumLikeConfig tcfg = smallTrace();
-    std::vector<sim::RunSpec> specs = sweepSpecs();
-    ThrowingAuditor auditor(1);
-    specs[0].auditor = &auditor;
-    SweepOptions opts;
-    opts.jobs = 2;
-    EXPECT_THROW(runSweep(specs, atumTraceFactory(tcfg), opts),
-                 FatalError);
 }
 
 } // namespace

@@ -241,10 +241,11 @@ TEST_F(JournalTest, CancelledSweepResumesBitIdentically)
     std::uint64_t hash = hashSpecs(specs, tcfg.seed);
 
     // Reference: the uninterrupted serial sweep.
-    SweepOptions ref_opts;
-    ref_opts.jobs = 1;
-    std::vector<sim::RunOutput> want =
-        runSweep(specs, atumTraceFactory(tcfg), ref_opts);
+    std::vector<sim::RunOutput> want;
+    for (const sim::RunSpec &spec : specs) {
+        trace::AtumLikeGenerator gen(tcfg);
+        want.push_back(sim::runTrace(gen, spec));
+    }
 
     // Phase 1: cancel after one completed job, journaling.
     CancelToken token;

@@ -1,8 +1,8 @@
 /**
  * @file
- * Integration tests of the parallel sweep engine: runSweep() with
- * several workers must produce results identical to the serial
- * loop, field for field, on a short 2-segment trace; runJobs() with
+ * Integration tests of the parallel sweep engine: runSweepChecked()
+ * with several workers must produce results identical to a serial
+ * sim::runTrace() loop, field for field, on a short 2-segment trace; runJobs() with
  * jobs=1 must execute inline in submission order; the progress
  * meter and JSON writer round out the reporting path.
  */
@@ -49,6 +49,36 @@ sweepSpecs()
         specs.push_back(spec);
     }
     return specs;
+}
+
+/** The reference: a serial sim::runTrace() loop over @p specs. */
+std::vector<sim::RunOutput>
+serialOutputs(const std::vector<sim::RunSpec> &specs,
+              const trace::AtumLikeConfig &tcfg)
+{
+    std::vector<sim::RunOutput> outs;
+    for (const sim::RunSpec &spec : specs) {
+        trace::AtumLikeGenerator gen(tcfg);
+        outs.push_back(sim::runTrace(gen, spec));
+    }
+    return outs;
+}
+
+/** Every slot's output of a checked sweep on @p jobs workers. */
+std::vector<sim::RunOutput>
+sweepOutputs(const std::vector<sim::RunSpec> &specs,
+             const trace::AtumLikeConfig &tcfg, unsigned jobs)
+{
+    SweepOptions opts;
+    opts.jobs = jobs;
+    SweepResult run =
+        runSweepChecked(specs, atumTraceFactory(tcfg), opts);
+    std::vector<sim::RunOutput> outs;
+    for (JobResult &job : run.jobs) {
+        EXPECT_TRUE(job.ok()) << job.error.text();
+        outs.push_back(std::move(job.output));
+    }
+    return outs;
 }
 
 void
@@ -102,18 +132,9 @@ TEST(Sweep, ParallelMatchesSerialLoop)
 {
     const trace::AtumLikeConfig tcfg = smallTrace();
     const std::vector<sim::RunSpec> specs = sweepSpecs();
-
-    // The old serial loop, verbatim.
-    std::vector<sim::RunOutput> serial;
-    for (const sim::RunSpec &spec : specs) {
-        trace::AtumLikeGenerator gen(tcfg);
-        serial.push_back(sim::runTrace(gen, spec));
-    }
-
-    SweepOptions opts;
-    opts.jobs = 4;
-    std::vector<sim::RunOutput> parallel =
-        runSweep(specs, atumTraceFactory(tcfg), opts);
+    const std::vector<sim::RunOutput> serial = serialOutputs(specs, tcfg);
+    const std::vector<sim::RunOutput> parallel =
+        sweepOutputs(specs, tcfg, 4);
 
     ASSERT_EQ(parallel.size(), serial.size());
     for (std::size_t i = 0; i < serial.size(); ++i)
@@ -124,30 +145,24 @@ TEST(Sweep, JobsOneIsTheSerialPath)
 {
     const trace::AtumLikeConfig tcfg = smallTrace();
     const std::vector<sim::RunSpec> specs = sweepSpecs();
+    const std::vector<sim::RunOutput> serial = serialOutputs(specs, tcfg);
+    const std::vector<sim::RunOutput> one = sweepOutputs(specs, tcfg, 1);
+    const std::vector<sim::RunOutput> many =
+        sweepOutputs(specs, tcfg, 3);
 
-    SweepOptions serial_opts;
-    serial_opts.jobs = 1;
-    std::vector<sim::RunOutput> one =
-        runSweep(specs, atumTraceFactory(tcfg), serial_opts);
-
-    SweepOptions par_opts;
-    par_opts.jobs = 3;
-    std::vector<sim::RunOutput> many =
-        runSweep(specs, atumTraceFactory(tcfg), par_opts);
-
-    ASSERT_EQ(one.size(), many.size());
-    for (std::size_t i = 0; i < one.size(); ++i)
-        expectOutputEq(many[i], one[i]);
+    ASSERT_EQ(one.size(), serial.size());
+    ASSERT_EQ(many.size(), serial.size());
+    for (std::size_t i = 0; i < serial.size(); ++i) {
+        expectOutputEq(one[i], serial[i]);
+        expectOutputEq(many[i], serial[i]);
+    }
 }
 
 TEST(Sweep, ResultsComeBackInSubmissionOrder)
 {
     const trace::AtumLikeConfig tcfg = smallTrace();
     const std::vector<sim::RunSpec> specs = sweepSpecs();
-    SweepOptions opts;
-    opts.jobs = 4;
-    std::vector<sim::RunOutput> outs =
-        runSweep(specs, atumTraceFactory(tcfg), opts);
+    const std::vector<sim::RunOutput> outs = sweepOutputs(specs, tcfg, 4);
     ASSERT_EQ(outs.size(), 4u);
     // Each spec carries a different L2 associativity; the Naive
     // scheme's worst-case probe count reveals which run landed in
@@ -217,10 +232,7 @@ TEST(Report, SweepJsonCarriesRunsAndSchemes)
     core::SchemeSpec mru;
     mru.kind = core::SchemeKind::Mru;
     specs[0].schemes = {mru};
-    SweepOptions opts;
-    opts.jobs = 1;
-    std::vector<sim::RunOutput> outs =
-        runSweep(specs, atumTraceFactory(tcfg), opts);
+    const std::vector<sim::RunOutput> outs = serialOutputs(specs, tcfg);
 
     std::ostringstream os;
     writeSweepJson(os, specs, outs);

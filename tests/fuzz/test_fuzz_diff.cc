@@ -82,7 +82,7 @@ TEST(RunCase, DigestIsReproducible)
 
 TEST(RunFuzz, CampaignIsDeterministic)
 {
-    FuzzOptions opt;
+    CampaignOptions opt;
     opt.seed = 11;
     opt.iterations = 10;
     const FuzzSummary a = runFuzz(opt);
@@ -99,30 +99,28 @@ TEST(RunFuzz, CampaignIsDeterministic)
 
 TEST(RunFuzz, CatchesAnInjectedNaiveBug)
 {
-    FuzzOptions opt;
+    CampaignOptions opt;
     opt.seed = 3;
     opt.iterations = 50;
-    opt.inject = BugInjection::NaiveSkip;
-    const FuzzSummary sum = runFuzz(opt);
+    const BugInjection inject = BugInjection::NaiveSkip;
+    const FuzzSummary sum = runFuzz(opt, inject);
     ASSERT_FALSE(sum.ok());
-    const FuzzFailure &f = sum.failures.front();
+    const CaseFailure &f = sum.failures.front();
     EXPECT_FALSE(f.messages.empty());
-    EXPECT_FALSE(f.minimized.empty());
     // The minimized trace must still reproduce the failure.
     const FuzzCase c = sampleCase(opt.seed, f.index);
-    EXPECT_FALSE(
-        runCase(c, opt.inject, &f.minimized).log.ok());
+    const std::vector<trace::MemRef> minimized =
+        minimizeTrace(c, inject);
+    EXPECT_FALSE(minimized.empty());
+    EXPECT_FALSE(runCase(c, inject, &minimized).log.ok());
     // And the repro command replays exactly the failing case.
-    EXPECT_EQ(reproCommand(opt.seed, f.index),
-              "fuzz_diff --seed=3 --config=" +
-                  std::to_string(f.index));
-    FuzzOptions replay;
+    EXPECT_EQ(f.repro, "fuzz_diff --seed=3 --config=" +
+                           std::to_string(f.index) +
+                           " --inject=naive-skip");
+    CampaignOptions replay;
     replay.seed = opt.seed;
-    replay.have_only_case = true;
     replay.only_case = f.index;
-    replay.inject = opt.inject;
-    replay.minimize = false;
-    EXPECT_FALSE(runFuzz(replay).ok());
+    EXPECT_FALSE(runFuzz(replay, inject, /*minimize=*/false).ok());
 }
 
 TEST(RunFuzz, CatchesAnInjectedStaleMemoBug)
@@ -130,37 +128,37 @@ TEST(RunFuzz, CatchesAnInjectedStaleMemoBug)
     // The memo-consistency invariant: a memo table that serves a
     // rotated (stale) way must be flagged by the campaign even
     // though hit/miss verdicts stay plausible per access.
-    FuzzOptions opt;
+    CampaignOptions opt;
     opt.seed = 3;
     opt.iterations = 50;
-    opt.inject = BugInjection::MemoStale;
-    const FuzzSummary sum = runFuzz(opt);
+    const BugInjection inject = BugInjection::MemoStale;
+    const FuzzSummary sum = runFuzz(opt, inject, /*minimize=*/false);
     ASSERT_FALSE(sum.ok());
-    const FuzzFailure &f = sum.failures.front();
+    const CaseFailure &f = sum.failures.front();
     EXPECT_FALSE(f.messages.empty());
     const FuzzCase c = sampleCase(opt.seed, f.index);
-    EXPECT_FALSE(runCase(c, opt.inject, &f.minimized).log.ok());
+    const std::vector<trace::MemRef> minimized =
+        minimizeTrace(c, inject);
+    EXPECT_FALSE(runCase(c, inject, &minimized).log.ok());
 }
 
 TEST(RunFuzz, ReplayOfACleanCasePasses)
 {
-    FuzzOptions opt;
+    CampaignOptions opt;
     opt.seed = 3;
-    opt.have_only_case = true;
     opt.only_case = 42;
     const FuzzSummary sum = runFuzz(opt);
     EXPECT_TRUE(sum.ok());
     EXPECT_EQ(sum.cases_run, 1u);
 }
 
-TEST(DigestMix, OrderSensitive)
+TEST(BugInjectionName, RoundTripsThroughTheParser)
 {
-    std::uint64_t a = kDigestInit, b = kDigestInit;
-    digestMix(a, 1);
-    digestMix(a, 2);
-    digestMix(b, 2);
-    digestMix(b, 1);
-    EXPECT_NE(a, b);
+    for (BugInjection bug :
+         {BugInjection::None, BugInjection::NaiveSkip,
+          BugInjection::MruUndercount, BugInjection::PartialFilter,
+          BugInjection::MemoStale})
+        EXPECT_EQ(bugInjectionFromString(bugInjectionName(bug)), bug);
 }
 
 TEST(FormatRef, RendersTypesAndAddresses)

@@ -127,15 +127,20 @@ TEST(BatchedReplay, SweepPathMatchesAcrossBatchSizesAndJobs)
     exec::SweepOptions pooled;
     pooled.jobs = 2;
 
-    std::vector<sim::RunOutput> want = exec::runSweep(
-        makeSpecs(1), exec::atumTraceFactory(cfg), serial);
+    std::vector<sim::RunOutput> want;
+    for (const sim::RunSpec &spec : makeSpecs(1)) {
+        trace::AtumLikeGenerator gen(cfg);
+        want.push_back(sim::runTrace(gen, spec));
+    }
     for (unsigned batch : {1u, 64u}) {
         for (exec::SweepOptions *opt : {&serial, &pooled}) {
-            std::vector<sim::RunOutput> got = exec::runSweep(
+            exec::SweepResult got = exec::runSweepChecked(
                 makeSpecs(batch), exec::atumTraceFactory(cfg), *opt);
-            ASSERT_EQ(want.size(), got.size());
-            for (std::size_t i = 0; i < want.size(); ++i)
-                expectSameOutput(want[i], got[i], batch);
+            ASSERT_EQ(want.size(), got.jobs.size());
+            for (std::size_t i = 0; i < want.size(); ++i) {
+                ASSERT_TRUE(got.jobs[i].ok());
+                expectSameOutput(want[i], got.jobs[i].output, batch);
+            }
         }
     }
 }

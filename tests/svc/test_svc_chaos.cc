@@ -13,7 +13,6 @@ namespace {
 
 using namespace assoc;
 using check::SvcChaosCase;
-using check::SvcChaosOptions;
 using check::SvcChaosRun;
 using check::SvcChaosSummary;
 
@@ -84,12 +83,11 @@ TEST(SvcChaosRunCase, DeterminismDigestIsStableAcrossRuns)
 
 TEST(SvcChaosCampaign, SmallCampaignPassesAndDigestsStably)
 {
-    SvcChaosOptions opt;
+    check::CampaignOptions opt;
     opt.seed = 21;
     opt.iterations = 4;
-    opt.threads = 2;
-    SvcChaosSummary first = check::runSvcChaos(opt);
-    SvcChaosSummary second = check::runSvcChaos(opt);
+    SvcChaosSummary first = check::runSvcChaos(opt, /*threads=*/2);
+    SvcChaosSummary second = check::runSvcChaos(opt, /*threads=*/2);
     EXPECT_TRUE(first.ok());
     EXPECT_EQ(first.cases_run, 4u);
     EXPECT_GT(first.ops, 0u);
@@ -99,24 +97,21 @@ TEST(SvcChaosCampaign, SmallCampaignPassesAndDigestsStably)
 
 TEST(SvcChaosCampaign, OnlyCaseRunsExactlyOne)
 {
-    SvcChaosOptions opt;
+    check::CampaignOptions opt;
     opt.seed = 21;
     opt.iterations = 50;
-    opt.threads = 2;
-    opt.have_only_case = true;
     opt.only_case = 3;
-    SvcChaosSummary sum = check::runSvcChaos(opt);
+    SvcChaosSummary sum = check::runSvcChaos(opt, /*threads=*/2);
     EXPECT_TRUE(sum.ok());
     EXPECT_EQ(sum.cases_run, 1u);
 }
 
 TEST(SvcChaosRepro, CommandNamesTheTool)
 {
-    std::string cmd = check::svcChaosReproCommand(7, 42);
-    EXPECT_NE(cmd.find("fuzz_diff"), std::string::npos);
-    EXPECT_NE(cmd.find("--svc-chaos"), std::string::npos);
-    EXPECT_NE(cmd.find("--seed=7"), std::string::npos);
-    EXPECT_NE(cmd.find("--config=42"), std::string::npos);
+    EXPECT_EQ(check::reproCommand(check::svcChaosReproFlags(0), 7, 42),
+              "fuzz_diff --svc-chaos --seed=7 --config=42");
+    EXPECT_EQ(check::reproCommand(check::svcChaosReproFlags(3), 7, 42),
+              "fuzz_diff --svc-chaos --seed=7 --config=42 --threads=3");
 }
 
 } // namespace

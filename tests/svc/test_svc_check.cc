@@ -171,7 +171,7 @@ TEST(SvcFuzz, StreamsAreDeterministicAndPerThread)
 
 TEST(SvcFuzz, ShortCampaignPasses)
 {
-    check::SvcFuzzOptions opt;
+    check::CampaignOptions opt;
     opt.seed = 21;
     opt.iterations = 10;
     check::SvcFuzzSummary sum = check::runSvcFuzz(opt);
@@ -186,7 +186,7 @@ TEST(SvcFuzz, ShortCampaignPasses)
 
 TEST(SvcFuzz, ReproCommandEchoesThreads)
 {
-    EXPECT_EQ(check::svcReproCommand(3, 17, 4),
+    EXPECT_EQ(check::reproCommand(check::svcReproFlags(4), 3, 17),
               "fuzz_diff --threads=4 --seed=3 --config=17");
 }
 

@@ -20,6 +20,10 @@
  *   fuzz_diff --svc-chaos --iterations=250     # overload/shedding
  *                                              # chaos campaign
  *
+ * All four campaigns run through one driver (check/campaign.h), so
+ * the shared flags mean the same everywhere and every repro line
+ * carries the flags that rebuild its case (docs/TESTING.md §3).
+ *
  * Exit codes follow the repository convention: 0 ok, 1 usage or a
  * failing campaign, 2 data, 3 internal.
  */
@@ -34,6 +38,7 @@
 #include "sim/runner.h"
 #include "trace/atum_like.h"
 #include "util/argparse.h"
+#include "util/digest.h"
 #include "util/error.h"
 #include "util/logging.h"
 
@@ -51,12 +56,12 @@ atumDigest(std::uint64_t seed)
     cfg.segments = 2;
     cfg.refs_per_segment = 20000;
     trace::AtumLikeGenerator gen(cfg);
-    std::uint64_t h = check::kDigestInit;
+    std::uint64_t h = kFnvInit;
     trace::MemRef r;
     while (gen.next(r)) {
-        check::digestMix(h, r.addr);
-        check::digestMix(h, static_cast<std::uint64_t>(r.type));
-        check::digestMix(h, r.pid);
+        fnvMix(h, r.addr);
+        fnvMix(h, static_cast<std::uint64_t>(r.type));
+        fnvMix(h, r.pid);
     }
     return h;
 }
@@ -87,24 +92,24 @@ sweepDigest(std::uint64_t seed)
 
     exec::SweepOptions opt;
     opt.jobs = 2;
-    std::vector<sim::RunOutput> outs =
-        exec::runSweep(specs, exec::atumTraceFactory(tcfg), opt);
+    exec::SweepResult run =
+        exec::runSweepChecked(specs, exec::atumTraceFactory(tcfg), opt);
+    if (!run.allOk())
+        throwError(run.firstError());
 
-    std::uint64_t h = check::kDigestInit;
-    for (const sim::RunOutput &out : outs) {
-        check::digestMix(h, out.stats.proc_refs);
-        check::digestMix(h, out.stats.l1_misses);
-        check::digestMix(h, out.stats.read_in_hits);
-        check::digestMix(h, out.stats.write_backs);
+    std::uint64_t h = kFnvInit;
+    for (const exec::JobResult &job : run.jobs) {
+        const sim::RunOutput &out = job.output;
+        fnvMix(h, out.stats.proc_refs);
+        fnvMix(h, out.stats.l1_misses);
+        fnvMix(h, out.stats.read_in_hits);
+        fnvMix(h, out.stats.write_backs);
         for (const core::ProbeStats &ps : out.probes) {
-            check::digestMix(h, ps.read_in_hits.count());
-            check::digestMix(
-                h, static_cast<std::uint64_t>(ps.read_in_hits.sum()));
-            check::digestMix(
-                h,
-                static_cast<std::uint64_t>(ps.read_in_misses.sum()));
-            check::digestMix(
-                h, static_cast<std::uint64_t>(ps.write_backs.sum()));
+            fnvMix(h, ps.read_in_hits.count());
+            fnvMix(h, static_cast<std::uint64_t>(ps.read_in_hits.sum()));
+            fnvMix(h,
+                   static_cast<std::uint64_t>(ps.read_in_misses.sum()));
+            fnvMix(h, static_cast<std::uint64_t>(ps.write_backs.sum()));
         }
     }
     return h;
@@ -158,26 +163,27 @@ main(int argc, char **argv)
         return 0;
 
     return guardedMain("fuzz_diff", [&]() -> int {
-        if (args.getBool("svc-chaos")) {
-            check::SvcChaosOptions opt;
-            opt.seed = args.getUint("seed");
-            opt.iterations = args.getUint("iterations");
-            if (args.given("threads"))
-                opt.threads =
-                    static_cast<unsigned>(args.getUint("threads"));
-            if (args.given("config")) {
-                opt.have_only_case = true;
-                opt.only_case = args.getUint("config");
-            }
-            opt.max_failures = static_cast<unsigned>(
-                args.getUint("max-failures"));
-            opt.log = &std::cerr;
+        check::CampaignOptions opt;
+        opt.seed = args.getUint("seed");
+        opt.iterations = args.getUint("iterations");
+        if (args.given("config"))
+            opt.only_case = args.getUint("config");
+        opt.max_failures =
+            static_cast<unsigned>(args.getUint("max-failures"));
+        opt.log = &std::cerr;
+        const unsigned threads =
+            args.given("threads")
+                ? static_cast<unsigned>(args.getUint("threads"))
+                : 0;
+        const bool digest = args.getBool("digest");
+        const bool quiet = args.getBool("quiet");
 
-            check::SvcChaosSummary sum = check::runSvcChaos(opt);
-            if (args.getBool("digest")) {
+        if (args.getBool("svc-chaos")) {
+            check::SvcChaosSummary sum = check::runSvcChaos(opt, threads);
+            if (digest) {
                 std::cout << "digest chaos=0x" << std::hex
                           << sum.digest << std::dec << "\n";
-            } else if (!args.getBool("quiet")) {
+            } else if (!quiet) {
                 std::cout << "fuzz_diff: " << sum.cases_run
                           << " chaos cases, " << sum.ops
                           << " requests (" << sum.totals.shed()
@@ -190,24 +196,11 @@ main(int argc, char **argv)
         }
 
         if (args.given("threads")) {
-            check::SvcFuzzOptions opt;
-            opt.seed = args.getUint("seed");
-            opt.iterations = args.getUint("iterations");
-            opt.threads =
-                static_cast<unsigned>(args.getUint("threads"));
-            if (args.given("config")) {
-                opt.have_only_case = true;
-                opt.only_case = args.getUint("config");
-            }
-            opt.max_failures = static_cast<unsigned>(
-                args.getUint("max-failures"));
-            opt.log = &std::cerr;
-
-            check::SvcFuzzSummary sum = check::runSvcFuzz(opt);
-            if (args.getBool("digest")) {
-                std::cout << "digest svc=0x" << std::hex
-                          << sum.digest << std::dec << "\n";
-            } else if (!args.getBool("quiet")) {
+            check::SvcFuzzSummary sum = check::runSvcFuzz(opt, threads);
+            if (digest) {
+                std::cout << "digest svc=0x" << std::hex << sum.digest
+                          << std::dec << "\n";
+            } else if (!quiet) {
                 std::cout << "fuzz_diff: " << sum.cases_run
                           << " svc cases, " << sum.ops
                           << " service ops applied, "
@@ -218,28 +211,18 @@ main(int argc, char **argv)
         }
 
         if (args.getBool("inject-faults")) {
-            check::FaultCampaignOptions opt;
-            opt.seed = args.getUint("seed");
-            opt.iterations = args.getUint("iterations");
-            if (args.given("config")) {
-                opt.have_only_case = true;
-                opt.only_case = args.getUint("config");
-            }
-            opt.max_failures = static_cast<unsigned>(
-                args.getUint("max-failures"));
-            opt.log = &std::cerr;
+            std::uint64_t job_timeout_ns = 0;
             if (args.given("job-timeout")) {
                 Expected<std::uint64_t> ns =
                     parseDuration(args.getString("job-timeout"));
                 if (!ns.ok())
                     throwError(Error(ns.error())
                                    .withContext("--job-timeout"));
-                opt.job_timeout_ns = ns.value();
+                job_timeout_ns = ns.value();
             }
-
             check::FaultCampaignSummary sum =
-                check::runFaultCampaign(opt);
-            if (!args.getBool("quiet")) {
+                check::runFaultCampaign(opt, job_timeout_ns);
+            if (!quiet) {
                 std::cout << "fuzz_diff: " << sum.cases_run
                           << " fault cases, " << sum.faults_injected
                           << " faults injected, "
@@ -249,28 +232,15 @@ main(int argc, char **argv)
             return sum.ok() ? 0 : 1;
         }
 
-        check::FuzzOptions opt;
-        opt.seed = args.getUint("seed");
-        opt.iterations = args.getUint("iterations");
-        if (args.given("config")) {
-            opt.have_only_case = true;
-            opt.only_case = args.getUint("config");
-        }
-        opt.inject = check::bugInjectionFromString(
-            args.getString("inject"));
-        opt.max_failures = static_cast<unsigned>(
-            args.getUint("max-failures"));
-        opt.minimize = !args.getBool("no-minimize");
-        opt.log = &std::cerr;
-
-        check::FuzzSummary sum = check::runFuzz(opt);
-
-        if (args.getBool("digest")) {
+        check::FuzzSummary sum = check::runFuzz(
+            opt, check::bugInjectionFromString(args.getString("inject")),
+            !args.getBool("no-minimize"));
+        if (digest) {
             std::cout << "digest fuzz=0x" << std::hex << sum.digest
                       << " atum=0x" << atumDigest(opt.seed)
                       << " sweep=0x" << sweepDigest(opt.seed)
                       << std::dec << "\n";
-        } else if (!args.getBool("quiet")) {
+        } else if (!quiet) {
             std::cout << "fuzz_diff: " << sum.cases_run << " cases, "
                       << sum.accesses << " lookups audited, "
                       << sum.failures.size() << " failing case(s)\n";

@@ -29,14 +29,11 @@
  *   svc_bench --quota-rate=1/2 --quota-burst=16 --flood-tenant=8
  *   svc_bench --quota-rate=1/3 --shed-policy=degrade-reads \
  *             --deadline=50ms --fail-overloaded
- *   svc_bench --chaos --chaos-cases=250        # chaos campaign
  *
  * --flood-tenant=K multiplies tenant 0's stream by K (the noisy
  * neighbor); --fail-overloaded turns any shed into exit code 5 for
- * scripted overload probes. --chaos runs the seeded service chaos
- * campaign (check/svc_chaos.h: lock-holder stall, tenant flood,
- * budget squeeze, deadline storm; every case executed twice and
- * diffed) instead of the throughput bench.
+ * scripted overload probes. The seeded service chaos campaign
+ * (check/svc_chaos.h) runs under `fuzz_diff --svc-chaos`.
  *
  * --verify records per-session histories and replays them through
  * the serializability checker after each run (see docs/SERVICE.md);
@@ -49,9 +46,9 @@
  * rename), so a killed run never leaves a torn file; PATH "-"
  * streams CSV to stdout.
  *
- * Exit codes: 0 ok, 1 usage / failed verification or scaling gate /
- * failed chaos campaign, 4 budget exceeded, 5 overloaded
- * (--fail-overloaded with sheds observed), 130/143 interrupted.
+ * Exit codes: 0 ok, 1 usage / failed verification or scaling gate,
+ * 4 budget exceeded, 5 overloaded (--fail-overloaded with sheds
+ * observed), 130/143 interrupted.
  */
 
 #include <chrono>
@@ -59,7 +56,6 @@
 #include <thread>
 #include <vector>
 
-#include "check/svc_chaos.h"
 #include "check/svc_check.h"
 #include "svc/service.h"
 #include "util/argparse.h"
@@ -168,26 +164,6 @@ struct RunRow
     std::uint64_t client_gave_up = 0;  ///< ops shed to exhaustion
 };
 
-int
-runChaos(const ArgParser &args)
-{
-    check::SvcChaosOptions opt;
-    opt.seed = args.getUint("seed");
-    opt.iterations = args.getUint("chaos-cases");
-    opt.max_failures = 3;
-    opt.log = &std::cerr;
-    check::SvcChaosSummary sum = check::runSvcChaos(opt);
-    std::cout << "svc_bench chaos: " << sum.cases_run << " cases x2, "
-              << sum.ops << " requests, " << sum.totals.shed()
-              << " shed (" << sum.totals.shed_quota << " quota, "
-              << sum.totals.shed_writes << " writes, "
-              << sum.totals.shed_inflight << " inflight), "
-              << sum.totals.degraded << " degraded, "
-              << sum.totals.failed() << " failed, "
-              << sum.failures.size() << " failing case(s)\n";
-    return sum.ok() ? 0 : 1;
-}
-
 } // namespace
 
 int
@@ -254,18 +230,10 @@ main(int argc, char **argv)
     args.addSwitch("fail-overloaded",
                    "exit 5 when any request was shed (scripted "
                    "overload probes)");
-    args.addSwitch("chaos",
-                   "run the service chaos campaign (stall / flood "
-                   "/ squeeze / storm; cases run twice and diffed) "
-                   "instead of the bench");
-    args.addFlag("chaos-cases", "200", "chaos campaign case count");
     if (!args.parse(argc, argv))
         return 0;
 
     return guardedMain("svc_bench", [&]() -> int {
-        if (args.getBool("chaos"))
-            return runChaos(args);
-
         mem::CacheGeometry geom(
             static_cast<std::uint32_t>(args.getUint("size")),
             static_cast<std::uint32_t>(args.getUint("block")),

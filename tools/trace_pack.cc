@@ -38,6 +38,7 @@
 #include "trace/ftr_writer.h"
 #include "trace/trace_file.h"
 #include "util/argparse.h"
+#include "util/digest.h"
 #include "util/error.h"
 #include "util/logging.h"
 
@@ -54,12 +55,13 @@ class TraceDigest
     void
     add(const MemRef &r)
     {
-        step(r.addr & 0xff);
-        step((r.addr >> 8) & 0xff);
-        step((r.addr >> 16) & 0xff);
-        step((r.addr >> 24) & 0xff);
-        step(static_cast<std::uint8_t>(r.type));
-        step(r.pid);
+        const std::uint8_t rec[6] = {
+            static_cast<std::uint8_t>(r.addr),
+            static_cast<std::uint8_t>(r.addr >> 8),
+            static_cast<std::uint8_t>(r.addr >> 16),
+            static_cast<std::uint8_t>(r.addr >> 24),
+            static_cast<std::uint8_t>(r.type), r.pid};
+        fnvBytes(h_, rec, sizeof(rec));
         ++n_;
     }
 
@@ -67,24 +69,9 @@ class TraceDigest
     std::uint64_t records() const { return n_; }
 
   private:
-    void
-    step(std::uint8_t b)
-    {
-        h_ = (h_ ^ b) * 0x100000001b3ULL;
-    }
-
-    std::uint64_t h_ = 0xcbf29ce484222325ULL;
+    std::uint64_t h_ = kFnvInit;
     std::uint64_t n_ = 0;
 };
-
-std::uint64_t
-fnvString(const std::string &s)
-{
-    std::uint64_t h = 0xcbf29ce484222325ULL;
-    for (unsigned char c : s)
-        h = (h ^ c) * 0x100000001b3ULL;
-    return h;
-}
 
 ErrorPolicy
 policyFromArgs(const ArgParser &args)
