@@ -379,6 +379,75 @@ BM_CacheSnapshotSet(benchmark::State &state)
 
 BENCHMARK(BM_CacheSnapshotSet)->Arg(4)->Arg(16);
 
+/** A prepared level-two access: one warm set's decoded snapshot and
+ *  the view the hierarchy would hand every observer. */
+struct PreparedAccess
+{
+    std::vector<std::uint32_t> tags;
+    std::vector<std::uint8_t> valid;
+    std::vector<std::uint8_t> order;
+    mem::L2AccessView view{};
+};
+
+void
+BM_MeterObserve(benchmark::State &state)
+{
+    // ProbeMeter::observe alone: tag slicing, the strategy call, the
+    // ground-truth cross-check and the stats. The BM_*Lookup rows
+    // call strategies directly and never see the meter's share. A
+    // 64K-32 L2 keeps the full tag wider than t = 16 at every
+    // associativity, so every observation slices.
+    mem::WriteBackCache cache(
+        mem::CacheGeometry(65536, 32, static_cast<std::uint32_t>(
+                                          state.range(0))));
+    const mem::CacheGeometry &g = cache.geom();
+    const unsigned a = g.assoc();
+    const std::uint32_t sets = 128;
+    for (std::uint32_t set = 0; set < sets; ++set)
+        for (unsigned w = 0; w < a; ++w)
+            cache.fill(set + (w + 1) * g.sets(), false);
+
+    Pcg32 rng(9);
+    std::vector<PreparedAccess> accesses(sets);
+    for (std::uint32_t set = 0; set < sets; ++set) {
+        PreparedAccess &p = accesses[set];
+        p.tags.resize(a);
+        p.valid.resize(a);
+        p.order.resize(a);
+        cache.snapshotSet(set, p.tags.data(), p.valid.data(),
+                          p.order.data());
+        // 80% hits, as in the lookup rows' fixture.
+        mem::BlockAddr b = set + (1 + (rng.chance(0.8)
+                                           ? rng.below(a)
+                                           : a + rng.below(64))) *
+                                     g.sets();
+        p.view = mem::L2AccessView{mem::L2ReqType::ReadIn,
+                                   set,
+                                   b,
+                                   g.fullTagOf(b),
+                                   &cache,
+                                   cache.findWay(b),
+                                   -1,
+                                   p.tags.data(),
+                                   p.valid.data(),
+                                   p.order.data()};
+    }
+
+    core::SchemeSpec naive;
+    naive.kind = core::SchemeKind::Naive;
+    std::unique_ptr<core::ProbeMeter> meter = naive.makeMeter();
+    std::size_t i = 0;
+    for (auto _ : state) {
+        meter->observe(accesses[i & (sets - 1)].view);
+        benchmark::ClobberMemory();
+        ++i;
+    }
+    benchmark::DoNotOptimize(meter->stats().metered);
+    state.SetItemsProcessed(state.iterations());
+}
+
+BENCHMARK(BM_MeterObserve)->Arg(4)->Arg(8)->Arg(16);
+
 void
 BM_TraceGeneration(benchmark::State &state)
 {

@@ -104,6 +104,13 @@ class ProcessModel
     Pcg32 rng_;
     ZipfSampler zipf_;
 
+    // Geometric draws, one per fixed p (log1p(-p) computed once).
+    Geometric loop_span_{0.10};    ///< loop-back branch span
+    Geometric hot_pos_{0.5};       ///< MTF position of a hot call
+    Geometric stack_back_{0.15};   ///< stack offset below the frame
+    Geometric heap_reuse_;         ///< short heap reuse (geom_p)
+    Geometric block_offset_{0.45}; ///< word offset in a heap block
+
     // --- instruction state ---
     Addr pc_;                       ///< current fetch address
     Addr func_start_;               ///< start of current function
@@ -112,7 +119,10 @@ class ProcessModel
 
     // --- data state ---
     unsigned call_depth_ = 4;       ///< drives stack address locality
-    std::vector<Addr> heap_blocks_; ///< MTF list of touched heap blocks
+    /** MTF list of touched heap blocks, most recent at the back, so
+     *  a new block is a push_back and a reuse at distance d moves
+     *  only the d newer blocks. */
+    std::vector<Addr> heap_blocks_;
     Addr chunk_base_ = 0;           ///< current allocation chunk
     unsigned chunk_used_ = 0;       ///< blocks used in the chunk
     std::vector<Addr> func_addr_;   ///< scattered function addresses

@@ -15,6 +15,7 @@
 #include <cstdlib>
 #include <stdexcept>
 #include <string>
+#include <string_view>
 
 namespace assoc {
 
@@ -58,23 +59,31 @@ void inform(const std::string &msg);
 /** Globally silence warn()/inform() (used by tests). */
 void setQuiet(bool quiet);
 
+/*
+ * The checks below sit on the simulator's hottest paths (every cache
+ * touch, fill and meter observation), so a passing check must cost
+ * no more than its branch: the message is a view, and the
+ * std::string that fatal()/panic() need is built only on failure.
+ * Pass a literal, or build the message only where it cannot be hot.
+ */
+
 /**
  * Check a user-facing precondition; calls fatal() with @p msg when
- * @p cond is false.
+ * @p cond is true.
  */
 inline void
-fatalIf(bool cond, const std::string &msg)
+fatalIf(bool cond, std::string_view msg)
 {
-    if (cond)
-        fatal(msg);
+    if (cond) [[unlikely]]
+        fatal(std::string(msg));
 }
 
-/** Check an internal invariant; calls panic() when @p cond is false. */
+/** Check an internal invariant; calls panic() when @p cond is true. */
 inline void
-panicIf(bool cond, const std::string &msg)
+panicIf(bool cond, std::string_view msg)
 {
-    if (cond)
-        panic(msg);
+    if (cond) [[unlikely]]
+        panic(std::string(msg));
 }
 
 } // namespace assoc

@@ -8,12 +8,23 @@ namespace assoc {
 std::uint32_t
 Pcg32::geometric(double p, std::uint32_t cap)
 {
+    return Geometric(p).draw(*this, cap);
+}
+
+Geometric::Geometric(double p) : p_(p)
+{
     panicIf(!(p > 0.0) || p > 1.0, "Pcg32::geometric: p out of (0, 1]");
-    if (p >= 1.0)
+    log_q_ = std::log1p(-p);
+}
+
+std::uint32_t
+Geometric::draw(Pcg32 &rng, std::uint32_t cap) const
+{
+    if (p_ >= 1.0)
         return 0;
-    double u = uniform();
+    double u = rng.uniform();
     // Avoid log(0); uniform() < 1 so 1 - u > 0.
-    double k = std::floor(std::log1p(-u) / std::log1p(-p));
+    double k = std::floor(std::log1p(-u) / log_q_);
     if (k < 0)
         k = 0;
     if (k > cap)

@@ -121,13 +121,40 @@ class Pcg32
 
     /**
      * Geometric draw: number of failures before the first success
-     * with success probability @p p; capped at @p cap.
+     * with success probability @p p; capped at @p cap. Same as
+     * Geometric(p).draw(*this, cap); a caller that draws with one p
+     * many times should keep the Geometric.
      */
     std::uint32_t geometric(double p, std::uint32_t cap = 1u << 20);
 
   private:
     std::uint64_t state_ = 0;
     std::uint64_t inc_ = 1;
+};
+
+/**
+ * Geometric distribution with a fixed success probability p. The
+ * draw's denominator log1p(-p) is computed once, at construction,
+ * instead of on every draw; draws are bit-identical to
+ * Pcg32::geometric(p, cap) and consume the same RNG values.
+ *
+ * Both members are defined out of line in rng.cc, so log1p(-p) is
+ * always the math library's run-time value: a constructor inlined at
+ * a call with a literal p could be folded by the compiler to a
+ * correctly rounded constant that differs from it in the last place.
+ */
+class Geometric
+{
+  public:
+    /** Panics unless 0 < @p p <= 1. */
+    explicit Geometric(double p);
+
+    /** Failures before the first success, capped at @p cap. */
+    std::uint32_t draw(Pcg32 &rng, std::uint32_t cap = 1u << 20) const;
+
+  private:
+    double p_;
+    double log_q_ = 0.0; ///< log1p(-p)
 };
 
 /**

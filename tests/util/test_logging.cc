@@ -1,5 +1,7 @@
 #include <gtest/gtest.h>
 
+#include <string>
+
 #include "util/logging.h"
 
 namespace assoc {
@@ -35,6 +37,39 @@ TEST(Logging, PanicIfOnlyFiresWhenTrue)
 {
     EXPECT_NO_THROW(panicIf(false, "no"));
     EXPECT_THROW(panicIf(true, "yes"), PanicError);
+}
+
+TEST(Logging, CheckMessagesKeepTheirExactText)
+{
+    // Literal messages and messages concatenated into a std::string
+    // at the call site reach the exception text unchanged.
+    const std::string name = "jobs";
+    const std::string value = "4x";
+    try {
+        fatalIf(true, "associativity above 255 unsupported");
+        ADD_FAILURE() << "fatalIf did not throw";
+    } catch (const FatalError &e) {
+        EXPECT_STREQ(e.what(), "fatal: associativity above 255 unsupported");
+    }
+    try {
+        fatalIf(true, "flag --" + name + ": trailing junk in '" + value +
+                          "'");
+        ADD_FAILURE() << "fatalIf did not throw";
+    } catch (const FatalError &e) {
+        EXPECT_STREQ(e.what(), "fatal: flag --jobs: trailing junk in '4x'");
+    }
+    try {
+        panicIf(true, "way missing from recency order");
+        ADD_FAILURE() << "panicIf did not throw";
+    } catch (const PanicError &e) {
+        EXPECT_STREQ(e.what(), "panic: way missing from recency order");
+    }
+    try {
+        panicIf(true, "flag --" + name + " was never registered");
+        ADD_FAILURE() << "panicIf did not throw";
+    } catch (const PanicError &e) {
+        EXPECT_STREQ(e.what(), "panic: flag --jobs was never registered");
+    }
 }
 
 TEST(Logging, FatalErrorIsARuntimeError)

@@ -137,6 +137,58 @@ TEST(Pcg32, GeometricRejectsBadP)
     EXPECT_THROW(rng.geometric(1.5), PanicError);
 }
 
+/**
+ * The per-draw formula: log1p(-p) recomputed on every draw. p is read
+ * through a volatile so the compiler cannot fold log1p(-p) into a
+ * correctly rounded constant that differs from the library's value.
+ */
+std::uint32_t
+perDrawGeometric(Pcg32 &rng, double p, std::uint32_t cap)
+{
+    volatile double opaque_p = p;
+    double q = opaque_p;
+    if (q >= 1.0)
+        return 0;
+    double u = rng.uniform();
+    double k = std::floor(std::log1p(-u) / std::log1p(-q));
+    if (k < 0)
+        k = 0;
+    if (k > cap)
+        k = cap;
+    return static_cast<std::uint32_t>(k);
+}
+
+TEST(Geometric, CachedDenominatorIsBitIdenticalToPerDrawFormula)
+{
+    // Every (p, cap) the trace generator draws with: ProcessModel's
+    // fixed p values at their caps, the user and OS geom_p over a
+    // spread of MTF-list caps, and the scheduler's burst lengths at
+    // the default cap.
+    struct Case
+    {
+        double p;
+        std::uint32_t cap;
+    };
+    const Case cases[] = {
+        {0.10, 256}, {0.5, 255}, {0.15, 128}, {0.45, 15},
+        {0.35, 0},   {0.35, 1},  {0.35, 63},  {0.35, 100000},
+        {0.10, 63},  {0.10, 100000},
+        {1.0 / 6000, 1u << 20},  {1.0 / 1500, 1u << 20},
+    };
+    for (const Case &c : cases) {
+        SCOPED_TRACE(testing::Message() << "p=" << c.p << " cap=" << c.cap);
+        Geometric g(c.p);
+        Pcg32 ref(99), cached(99), direct(99);
+        for (int i = 0; i < 1000000; ++i) {
+            std::uint32_t want = perDrawGeometric(ref, c.p, c.cap);
+            ASSERT_EQ(g.draw(cached, c.cap), want) << "draw " << i;
+            ASSERT_EQ(direct.geometric(c.p, c.cap), want) << "draw " << i;
+        }
+        // All three consumed the same RNG values.
+        EXPECT_EQ(ref.next(), cached.next());
+    }
+}
+
 TEST(ZipfSampler, StaysInRange)
 {
     Pcg32 rng(55);
