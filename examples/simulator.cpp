@@ -11,8 +11,8 @@
  *   $ ./simulator --l2=256K-32:8 --l3=1M-64:8 \
  *                 --schemes=mru:2,partial:k=4;s=2;tr=improved
  *
- *   # a trace file, FIFO replacement, inclusion enforced
- *   $ ./simulator --trace=run.din --policy=fifo --inclusion
+ *   # a trace file (.din or .ftr), FIFO replacement, inclusion
+ *   $ ./simulator --trace=run.ftr --policy=fifo --inclusion
  */
 
 #include <cstdio>
@@ -24,8 +24,7 @@
 #include "sim/config_parse.h"
 #include "sim/runner.h"
 #include "trace/atum_like.h"
-#include "trace/bin_io.h"
-#include "trace/din_io.h"
+#include "trace/trace_file.h"
 #include "util/argparse.h"
 #include "util/table.h"
 #include "util/error.h"
@@ -45,10 +44,7 @@ openWorkload(const std::string &spec, unsigned segments,
             cfg.seed = seed;
         return std::make_unique<trace::AtumLikeGenerator>(cfg);
     }
-    if (spec.size() >= 4 &&
-        spec.compare(spec.size() - 4, 4, ".din") == 0)
-        return std::make_unique<trace::DinTraceSource>(spec);
-    return std::make_unique<trace::BinTraceSource>(spec);
+    return trace::openTraceFile(spec);
 }
 
 } // namespace
@@ -60,7 +56,8 @@ main(int argc, char **argv)
                      "configurable two/three-level simulation with "
                      "probe accounting");
     parser.addFlag("trace", "atum",
-                   "'atum' (built-in generator) or a .din/.bin file");
+                   "'atum' (built-in generator) or a trace file "
+                   "(.ftr or .din; other names are sniffed)");
     parser.addFlag("segments", "6", "segments for the generator");
     parser.addFlag("seed", "0", "generator seed (0 = default)");
     parser.addFlag("l1", "16K-16", "level-one spec SIZE-BLOCK");
@@ -143,6 +140,9 @@ main(int argc, char **argv)
                 remote.step(hier);
             }
         }
+        // A reader that stopped on a missing or damaged file must
+        // fail the run, not print statistics over a prefix.
+        trace::throwIfFailed(*workload);
 
         const mem::HierarchyStats &st = hier.stats();
         std::printf("L1 %s | L2 %s (%s)%s%s%s\n",

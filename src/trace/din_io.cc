@@ -42,21 +42,24 @@ parseUint(const std::string &tok, std::uint64_t &out)
 
 } // namespace
 
-void
+std::uint64_t
 writeDin(TraceSource &src, const std::string &path)
 {
     std::ofstream out(path);
     fatalIf(!out, "cannot open '" + path + "' for writing");
     out << "# din trace (label addr-hex pid)\n";
     MemRef r;
+    std::uint64_t n = 0;
     src.reset();
     while (src.next(r)) {
         char buf[48];
         std::snprintf(buf, sizeof(buf), "%d %x %u\n", labelOf(r.type),
                       r.addr, static_cast<unsigned>(r.pid));
         out << buf;
+        ++n;
     }
     fatalIf(!out.good(), "error writing '" + path + "'");
+    return n;
 }
 
 DinTraceSource::DinTraceSource(const std::string &path, ErrorPolicy policy)

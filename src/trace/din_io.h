@@ -29,8 +29,9 @@
 namespace assoc {
 namespace trace {
 
-/** Write all references of @p src to @p path in din format. */
-void writeDin(TraceSource &src, const std::string &path);
+/** Write all references of @p src to @p path in din format.
+ *  @return number of references written. */
+std::uint64_t writeDin(TraceSource &src, const std::string &path);
 
 /** Streaming reader for din trace files. */
 class DinTraceSource : public TraceSource

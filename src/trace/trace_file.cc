@@ -2,10 +2,10 @@
 
 #include <fstream>
 
-#include "trace/bin_io.h"
 #include "trace/din_io.h"
 #include "trace/ftr_format.h"
 #include "trace/ftr_reader.h"
+#include "trace/ftr_writer.h"
 
 namespace assoc {
 namespace trace {
@@ -27,7 +27,6 @@ traceFormatName(TraceFormat f)
 {
     switch (f) {
       case TraceFormat::Din: return "din";
-      case TraceFormat::Bin: return "bin";
       case TraceFormat::Ftr: return "ftr";
     }
     return "?";
@@ -38,35 +37,22 @@ detectTraceFormat(const std::string &path)
 {
     if (hasSuffix(path, ".din"))
         return TraceFormat::Din;
-    if (hasSuffix(path, ".bin"))
-        return TraceFormat::Bin;
     if (hasSuffix(path, ".ftr"))
         return TraceFormat::Ftr;
     std::ifstream in(path, std::ios::binary);
     char magic[4] = {0, 0, 0, 0};
     in.read(magic, sizeof(magic));
-    if (in.gcount() == 4) {
-        if (magic[0] == 'A' && magic[1] == 'S' && magic[2] == 'T' &&
-            magic[3] == 'R')
-            return TraceFormat::Bin;
-        if (magic[0] == 'A' && magic[1] == 'S' && magic[2] == 'F' &&
-            magic[3] == '1')
-            return TraceFormat::Ftr;
-    }
+    if (in.gcount() == 4 && magic[0] == 'A' && magic[1] == 'S' &&
+        magic[2] == 'F' && magic[3] == '1')
+        return TraceFormat::Ftr;
     return TraceFormat::Din;
 }
 
 std::unique_ptr<TraceSource>
 openTraceFile(const std::string &path, ErrorPolicy policy)
 {
-    switch (detectTraceFormat(path)) {
-      case TraceFormat::Bin:
-        return std::make_unique<BinTraceSource>(path, policy);
-      case TraceFormat::Ftr:
+    if (detectTraceFormat(path) == TraceFormat::Ftr)
         return std::make_unique<FtrTraceSource>(path, policy);
-      case TraceFormat::Din:
-        break;
-    }
     return std::make_unique<DinTraceSource>(path, policy);
 }
 
@@ -76,18 +62,23 @@ openTraceFileWithFaults(const std::string &path, ErrorPolicy policy,
 {
     if (!plan.armed())
         return openTraceFile(path, policy);
-    switch (detectTraceFormat(path)) {
-      case TraceFormat::Bin:
-        return std::make_unique<BinTraceSource>(
-            openFaultyFile(path, plan), path, policy);
-      case TraceFormat::Ftr:
+    if (detectTraceFormat(path) == TraceFormat::Ftr)
         return std::make_unique<FtrTraceSource>(
             openFaultyFile(path, plan), path, policy);
-      case TraceFormat::Din:
-        break;
-    }
     return std::make_unique<DinTraceSource>(
         openFaultyFile(path, plan), path, policy);
+}
+
+std::uint64_t
+writeTraceFile(TraceSource &src, const std::string &path,
+               FtrWriter::Options opt)
+{
+    if (detectTraceFormat(path) == TraceFormat::Din)
+        return writeDin(src, path);
+    Expected<std::uint64_t> n = writeFtr(src, path, opt);
+    if (!n.ok())
+        throwError(n.error());
+    return n.value();
 }
 
 } // namespace trace

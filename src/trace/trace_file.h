@@ -1,17 +1,20 @@
 /**
  * @file
- * One place that knows how to open a trace file of any on-disk
- * format (din text, packed bin, framed ftr) — by extension when it
- * is telling, by magic-number sniff when it is not — optionally with
- * IO faults injected underneath for robustness testing.
+ * One place that knows the on-disk trace formats (din text, framed
+ * ftr): it opens a trace file of either — by extension when it is
+ * telling, by magic-number sniff when it is not — optionally with IO
+ * faults injected underneath for robustness testing, and writes one
+ * in the format its path names.
  */
 
 #ifndef ASSOC_TRACE_TRACE_FILE_H
 #define ASSOC_TRACE_TRACE_FILE_H
 
+#include <cstdint>
 #include <memory>
 #include <string>
 
+#include "trace/ftr_writer.h"
 #include "trace/trace_source.h"
 #include "util/error.h"
 #include "util/io_fault.h"
@@ -20,14 +23,14 @@ namespace assoc {
 namespace trace {
 
 /** The trace file formats this repo reads and writes. */
-enum class TraceFormat { Din, Bin, Ftr };
+enum class TraceFormat { Din, Ftr };
 
-/** Short lowercase name ("din", "bin", "ftr"). */
+/** Short lowercase name ("din", "ftr"). */
 const char *traceFormatName(TraceFormat f);
 
 /**
- * Decide @p path's format: a .din/.bin/.ftr extension wins; anything
- * else is sniffed by magic number (unreadable or unrecognized files
+ * Decide @p path's format: a .din/.ftr extension wins; anything else
+ * is sniffed by magic number (unreadable or unrecognized files
  * default to din, whose parser reports precise line errors).
  */
 TraceFormat detectTraceFormat(const std::string &path);
@@ -48,6 +51,15 @@ openTraceFile(const std::string &path,
 std::unique_ptr<TraceSource>
 openTraceFileWithFaults(const std::string &path, ErrorPolicy policy,
                         const IoFaultPlan &plan);
+
+/**
+ * Write every reference of @p src (from the top) to @p path in the
+ * format detectTraceFormat() picks for it; @p opt sizes the frames
+ * of an ftr file. Returns the references written; a writer failure
+ * is thrown as a structured Error.
+ */
+std::uint64_t writeTraceFile(TraceSource &src, const std::string &path,
+                             FtrWriter::Options opt = {});
 
 } // namespace trace
 } // namespace assoc

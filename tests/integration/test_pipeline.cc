@@ -8,7 +8,8 @@
 #include "core/scheme.h"
 #include "mem/hierarchy.h"
 #include "trace/atum_like.h"
-#include "trace/bin_io.h"
+#include "trace/ftr_reader.h"
+#include "trace/ftr_writer.h"
 
 namespace assoc {
 namespace {
@@ -189,15 +190,15 @@ TEST(Pipeline, MeasuredMruHitsMatchDistanceDistribution)
 
 TEST(Pipeline, TraceFileRoundTripGivesIdenticalResults)
 {
-    // Generator -> binary file -> reader must price identically.
+    // Generator -> ftr file -> reader must price identically.
     trace::AtumLikeConfig tcfg;
     tcfg.segments = 2;
     tcfg.refs_per_segment = 30000;
     trace::AtumLikeGenerator gen(tcfg);
 
-    std::string path = ::testing::TempDir() + "pipeline_trace.bin";
-    trace::writeBin(gen, path);
-    trace::BinTraceSource file(path);
+    std::string path = ::testing::TempDir() + "pipeline_trace.ftr";
+    ASSERT_TRUE(trace::writeFtr(gen, path).ok());
+    trace::FtrTraceSource file(path);
 
     HierarchyConfig cfg{CacheGeometry(16384, 16, 1),
                         CacheGeometry(256 * 1024, 32, 4), true};
@@ -215,6 +216,7 @@ TEST(Pipeline, TraceFileRoundTripGivesIdenticalResults)
 
     auto from_gen = run(gen);
     auto from_file = run(file);
+    EXPECT_FALSE(file.failed()) << file.error().text();
     EXPECT_DOUBLE_EQ(from_gen.first, from_file.first);
     EXPECT_DOUBLE_EQ(from_gen.second, from_file.second);
     std::remove(path.c_str());

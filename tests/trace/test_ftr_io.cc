@@ -671,6 +671,15 @@ TEST_F(FtrIoTest, WriterReportsUnwritablePaths)
     EXPECT_EQ(n.error().code(), ErrorCode::Io);
 }
 
+TEST(FtrIo, MissingFileIsAnIoError)
+{
+    FtrTraceSource src("/nonexistent/trace.ftr");
+    EXPECT_TRUE(src.failed());
+    EXPECT_EQ(src.error().code(), ErrorCode::Io);
+    MemRef r;
+    EXPECT_FALSE(src.next(r));
+}
+
 } // namespace
 } // namespace trace
 } // namespace assoc

@@ -1,11 +1,14 @@
 /**
  * @file
  * IO-fault injection tests: the FaultyStreamBuf wrapper itself, and
- * the contract every trace reader (din/bin/ftr) owes when the
- * *device* fails rather than the data — a short read or an EIO must
- * surface as a structured error under every ErrorPolicy, because a
- * hard fault mistaken for end-of-file silently computes statistics
- * over a prefix. Skip mode is for damaged bytes, not dying disks.
+ * the contract every trace reader (din/ftr) owes when the *device*
+ * fails rather than the data. An EIO must surface as a structured
+ * error under every ErrorPolicy, because a hard fault mistaken for
+ * end-of-file silently computes statistics over a prefix; skip mode
+ * is for damaged bytes, not dying disks. A short read looks exactly
+ * like a truncated file, so it gets the truncation contract: only an
+ * exact prefix is ever delivered, and skip mode accounts for every
+ * record it lost.
  */
 
 #include <gtest/gtest.h>
@@ -17,9 +20,6 @@
 #include <string>
 #include <vector>
 
-#include "trace/bin_io.h"
-#include "trace/din_io.h"
-#include "trace/ftr_writer.h"
 #include "trace/trace_file.h"
 #include "util/io_fault.h"
 #include "util/rng.h"
@@ -165,26 +165,42 @@ TEST_F(IoFaultTest, UnopenableFileSetsFailbit)
     EXPECT_TRUE(in->fail());
 }
 
-TEST_F(IoFaultTest, BinShortReadIsAStructuredErrorEvenInSkipMode)
+TEST_F(IoFaultTest, FtrShortReadIsATornTailWithEveryLostRecordCounted)
 {
-    std::string path = scratch(".bin");
+    std::string path = scratch(".ftr");
     std::vector<MemRef> recs = someRecords(2000);
     VectorTraceSource src(recs);
-    writeBin(src, path);
+    FtrWriter::Options wopt;
+    wopt.frame_records = 64;
+    ASSERT_EQ(writeTraceFile(src, path, wopt), recs.size());
 
     IoFaultPlan plan;
-    plan.short_read_at = 916; // mid-record, well past the header
+    plan.short_read_at = 916; // inside the second frame
+    // A short read is indistinguishable from a truncated file: skip
+    // mode streams the intact first frame and counts every record
+    // after it as lost.
     std::unique_ptr<TraceSource> in =
         openTraceFileWithFaults(path, skipPolicy(), plan);
-    std::uint64_t streamed = 0;
+    std::vector<MemRef> got;
     MemRef r;
     while (in->next(r))
-        ++streamed;
-    EXPECT_TRUE(in->failed());
-    EXPECT_EQ(in->error().code(), ErrorCode::Io);
-    EXPECT_EQ(in->skippedRecords(), 0u);
-    // Records delivered before the tear: (916 - 16B header) / 6B.
-    EXPECT_EQ(streamed, (916u - 16u) / 6u);
+        got.push_back(r);
+    EXPECT_FALSE(in->failed()) << in->error().text();
+    EXPECT_EQ(got, std::vector<MemRef>(recs.begin(), recs.begin() + 64));
+    EXPECT_EQ(in->skippedRecords(), 2000u - 64u);
+
+    // The lost footer alone is enough for the other policies to
+    // reject the file.
+    for (ErrorMode mode : {ErrorMode::FailFast, ErrorMode::Strict}) {
+        SCOPED_TRACE(mode == ErrorMode::Strict ? "strict" : "fail-fast");
+        ErrorPolicy policy;
+        policy.mode = mode;
+        in = openTraceFileWithFaults(path, policy, plan);
+        while (in->next(r)) {
+        }
+        EXPECT_TRUE(in->failed());
+        EXPECT_EQ(in->error().code(), ErrorCode::Data);
+    }
 }
 
 TEST_F(IoFaultTest, EveryFormatSurfacesEioAsAHardError)
@@ -194,22 +210,11 @@ TEST_F(IoFaultTest, EveryFormatSurfacesEioAsAHardError)
         const char *ext;
         std::uint64_t fault_at;
     };
-    for (const Case &c : {Case{".din", 500}, Case{".bin", 500},
-                          Case{".ftr", 500}}) {
+    for (const Case &c : {Case{".din", 500}, Case{".ftr", 500}}) {
         std::string path = scratch(c.ext);
         std::vector<MemRef> recs = someRecords(2000);
         VectorTraceSource src(recs);
-        switch (detectTraceFormat(path)) {
-          case TraceFormat::Din:
-            writeDin(src, path);
-            break;
-          case TraceFormat::Bin:
-            writeBin(src, path);
-            break;
-          case TraceFormat::Ftr:
-            ASSERT_TRUE(writeFtr(src, path).ok());
-            break;
-        }
+        writeTraceFile(src, path);
         IoFaultPlan plan;
         plan.io_error_at = c.fault_at;
         std::unique_ptr<TraceSource> in =

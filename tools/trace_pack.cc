@@ -7,7 +7,7 @@
  *                    (--refs=180M writes ~180 million references in
  *                    bounded memory; format from the extension)
  *   pack <in> <out>  re-encode any trace file as framed ftr
- *   unpack <in> <out>  decode an ftr file back to .din / .bin
+ *   unpack <in> <out>  decode an ftr file back to .din
  *   info <in>        print header / frame-index facts
  *   verify <in>      stream every frame, print record count + digest
  *                    (exit 3 on damage under the chosen --errors)
@@ -25,17 +25,13 @@
  */
 
 #include <cstdio>
-#include <fstream>
 #include <iostream>
 
 #include "exec/fault.h"
 #include "exec/journal.h"
 #include "exec/sweep.h"
 #include "trace/atum_like.h"
-#include "trace/bin_io.h"
-#include "trace/din_io.h"
 #include "trace/ftr_reader.h"
-#include "trace/ftr_writer.h"
 #include "trace/trace_file.h"
 #include "util/argparse.h"
 #include "util/digest.h"
@@ -94,28 +90,6 @@ countArg(const ArgParser &args, const std::string &name)
     if (!n.ok())
         throwError(Error(n.error()).withContext("--" + name));
     return n.value();
-}
-
-void
-writeAnyFormat(TraceSource &src, const std::string &path,
-               std::uint32_t frame_records)
-{
-    switch (detectTraceFormat(path)) {
-      case TraceFormat::Din:
-        writeDin(src, path);
-        break;
-      case TraceFormat::Bin:
-        writeBin(src, path);
-        break;
-      case TraceFormat::Ftr: {
-        FtrWriter::Options wopt;
-        wopt.frame_records = frame_records;
-        Expected<std::uint64_t> n = writeFtr(src, path, wopt);
-        if (!n.ok())
-            throwError(Error(n.error()));
-        break;
-      }
-    }
 }
 
 /** The small fixed sweep the `sweep` subcommand replays: three
@@ -276,7 +250,8 @@ main(int argc, char **argv)
                 "usage: trace_pack "
                 "gen|pack|unpack|info|verify|corrupt|sweep <files>");
         const std::string &cmd = pos[0];
-        std::uint32_t frame_records = static_cast<std::uint32_t>(
+        FtrWriter::Options wopt;
+        wopt.frame_records = static_cast<std::uint32_t>(
             countArg(args, "frame-records"));
 
         if (cmd == "gen") {
@@ -292,7 +267,7 @@ main(int argc, char **argv)
                 std::max<std::uint64_t>(1, countArg(args, "refs") /
                                                cfg.segments);
             AtumLikeGenerator gen(cfg);
-            writeAnyFormat(gen, pos[1], frame_records);
+            writeTraceFile(gen, pos[1], wopt);
             std::printf("wrote %llu references to %s\n",
                         static_cast<unsigned long long>(
                             gen.totalRefs()),
@@ -303,7 +278,7 @@ main(int argc, char **argv)
             ErrorPolicy policy = policyFromArgs(args);
             std::unique_ptr<TraceSource> in =
                 openTraceFile(pos[1], policy);
-            writeAnyFormat(*in, pos[2], frame_records);
+            writeTraceFile(*in, pos[2], wopt);
             throwIfFailed(*in);
             if (in->skippedRecords() > 0)
                 std::fprintf(stderr,
