@@ -466,30 +466,50 @@ BM_TraceGeneration(benchmark::State &state)
 
 BENCHMARK(BM_TraceGeneration);
 
-/** 100k AtumLike references materialized once, replayed from memory
- *  so the hierarchy benchmarks time the hierarchy, not the trace
- *  generator (BM_TraceGeneration prices that separately). */
-const std::vector<trace::MemRef> &
+/** 100k AtumLike references materialized once into the shared
+ *  buffer a sweep's jobs replay (trace::materializeTrace), so the
+ *  hierarchy benchmarks time the hierarchy, not the trace generator
+ *  (BM_TraceGeneration prices that, BM_TraceReplay the replay). */
+const trace::SharedRefs &
 replayRefs()
 {
-    static const std::vector<trace::MemRef> refs = [] {
+    static const trace::SharedRefs refs = [] {
         trace::AtumLikeConfig cfg;
         cfg.segments = 1;
         cfg.refs_per_segment = 100000;
-        trace::AtumLikeGenerator gen(cfg);
-        std::vector<trace::MemRef> v;
-        trace::MemRef r;
-        while (gen.next(r))
-            v.push_back(r);
-        return v;
+        return trace::materializeTrace(cfg);
     }();
     return refs;
 }
 
 void
+BM_TraceReplay(benchmark::State &state)
+{
+    // The trace stage of an atumTraceFactory sweep job: batched
+    // pulls from the shared buffer, at the hierarchy's default
+    // batch of 64 (sim::RunSpec::batch_size).
+    trace::VectorTraceSource src(replayRefs());
+    trace::MemRef buf[64];
+    std::int64_t refs = 0;
+    for (auto _ : state) {
+        std::size_t n = src.nextBatch(buf, 64);
+        if (n == 0) {
+            src.reset();
+            continue;
+        }
+        benchmark::DoNotOptimize(buf);
+        benchmark::ClobberMemory();
+        refs += static_cast<std::int64_t>(n);
+    }
+    state.SetItemsProcessed(refs);
+}
+
+BENCHMARK(BM_TraceReplay);
+
+void
 BM_HierarchySimulation(benchmark::State &state)
 {
-    const std::vector<trace::MemRef> &refs = replayRefs();
+    const std::vector<trace::MemRef> &refs = *replayRefs();
     mem::HierarchyConfig hcfg{mem::CacheGeometry(16384, 16, 1),
                               mem::CacheGeometry(262144, 32, 4),
                               true};
@@ -508,7 +528,7 @@ BENCHMARK(BM_HierarchySimulation);
 void
 BM_HierarchyWithMeters(benchmark::State &state)
 {
-    const std::vector<trace::MemRef> &refs = replayRefs();
+    const std::vector<trace::MemRef> &refs = *replayRefs();
     mem::HierarchyConfig hcfg{mem::CacheGeometry(16384, 16, 1),
                               mem::CacheGeometry(262144, 32, 4),
                               true};
@@ -539,8 +559,7 @@ BM_HierarchyBatchedReplay(benchmark::State &state)
     // Whole-trace replay through TwoLevelHierarchy::run at a given
     // RunSpec::batch_size (1 = the old per-reference loop; 64 = the
     // default batched pull with set-plane prefetch).
-    const std::vector<trace::MemRef> &refs = replayRefs();
-    trace::VectorTraceSource src(refs);
+    trace::VectorTraceSource src(replayRefs());
     mem::HierarchyConfig hcfg{mem::CacheGeometry(16384, 16, 1),
                               mem::CacheGeometry(262144, 32, 4),
                               true};
@@ -552,7 +571,7 @@ BM_HierarchyBatchedReplay(benchmark::State &state)
     }
     state.SetItemsProcessed(
         state.iterations() *
-        static_cast<std::int64_t>(refs.size()));
+        static_cast<std::int64_t>(src.size()));
 }
 
 BENCHMARK(BM_HierarchyBatchedReplay)

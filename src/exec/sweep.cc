@@ -27,11 +27,64 @@ jobStatusName(JobStatus status)
     return "unknown";
 }
 
+struct SharedTraceSource::State
+{
+    explicit State(const trace::AtumLikeConfig &c) : cfg(c) {}
+
+    const trace::AtumLikeConfig cfg;
+    /** Held for the whole build, so concurrent first pulls wait for
+     *  it and then replay. A plain mutex, not std::call_once: a
+     *  build that throws must leave the state retryable. */
+    std::mutex mutex;
+    trace::SharedRefs refs; ///< null until a build succeeds
+};
+
+SharedTraceSource::SharedTraceSource(std::shared_ptr<State> state)
+    : state_(std::move(state))
+{}
+
+bool
+SharedTraceSource::acquire()
+{
+    if (error_.failed())
+        return false;
+    // Charge before the first record, whichever job builds: a job's
+    // budget outcome must not depend on the schedule.
+    const std::uint64_t records = state_->cfg.totalRefs();
+    Expected<MemCharge> c = MemCharge::charge(
+        budget_, records * sizeof(trace::MemRef),
+        "shared trace buffer (" + std::to_string(records) +
+            " records)");
+    if (!c.ok()) {
+        error_ = Error(c.error());
+        return false;
+    }
+    charge_ = c.take();
+
+    trace::SharedRefs refs;
+    try {
+        std::lock_guard<std::mutex> lock(state_->mutex);
+        if (!state_->refs)
+            state_->refs = trace::materializeTrace(state_->cfg, cancel_);
+        refs = state_->refs;
+    } catch (const ErrorException &e) {
+        error_ = e.error();
+        return false;
+    }
+    replay_ = trace::VectorTraceSource(std::move(refs));
+    ready_ = true;
+    return true;
+}
+
 TraceFactory
 atumTraceFactory(const trace::AtumLikeConfig &cfg)
 {
-    return [cfg](std::size_t) {
-        return std::make_unique<trace::AtumLikeGenerator>(cfg);
+    Error invalid = trace::validateConfig(cfg);
+    auto state = std::make_shared<SharedTraceSource::State>(cfg);
+    return [invalid, state](std::size_t) {
+        if (invalid.failed())
+            throwError(Error(invalid));
+        return std::make_unique<SharedTraceSource>(state);
     };
 }
 

@@ -2,15 +2,16 @@
  * @file
  * Deterministic parallel sweep execution.
  *
- * Paper sweeps replay a seed-regenerated trace through many
- * independent RunSpecs; no mutable state is shared between runs, so
- * they are embarrassingly parallel. runSweepChecked() fans a vector
- * of specs across a work-stealing ThreadPool — each job constructs
- * its own TraceSource from the shared seed via a caller-supplied
- * factory, so workers never share a generator — and returns one
- * JobResult per spec *in submission order* regardless of completion
- * order: every successful slot is bit-identical to what a serial
- * sim::runTrace() loop over the specs produces.
+ * Paper sweeps replay one trace through many independent RunSpecs;
+ * no mutable state is shared between runs, so they are
+ * embarrassingly parallel. runSweepChecked() fans a vector of specs
+ * across a work-stealing ThreadPool — each job gets its own
+ * TraceSource from a caller-supplied factory; the sources may share
+ * an immutable record buffer (atumTraceFactory) but never a
+ * position — and returns one JobResult per spec *in submission
+ * order* regardless of completion order: every successful slot is
+ * bit-identical to what a serial sim::runTrace() loop over the
+ * specs produces.
  *
  * With jobs == 1 the sweep bypasses the pool entirely and runs each
  * spec inline, in order, on the calling thread.
@@ -28,6 +29,7 @@
 #define ASSOC_EXEC_SWEEP_H
 
 #include <functional>
+#include <memory>
 #include <string>
 #include <vector>
 
@@ -105,20 +107,92 @@ struct SweepOptions
 };
 
 /**
- * Builds one fresh TraceSource per job. Called once per job, from
- * that job's worker thread, with the job's submission index; must
- * be callable concurrently (it should only read shared config).
+ * Builds one fresh TraceSource per job. Called once per job attempt,
+ * from that job's worker thread, with the job's submission index;
+ * must be callable concurrently. Sources it returns may share
+ * immutable data (and the factory may share lazily built state
+ * among its copies), but each source is used by one thread only.
+ * Slots restored from a resume journal never call it.
  */
 using TraceFactory =
     std::function<std::unique_ptr<trace::TraceSource>(std::size_t)>;
 
-/** A TraceFactory producing one AtumLikeGenerator per job from the
- *  shared config (every job replays the identical stream). */
+/**
+ * A TraceFactory whose jobs all replay @p cfg's stream from one
+ * shared, immutable buffer (trace::materializeTrace(), 8 B per
+ * record: ~64 MB for the paper's 23 segments).
+ *
+ *  - Lazy: neither this call nor a per-job call builds the buffer;
+ *    the first pull from any of the factory's sources does, while
+ *    concurrent first pulls wait on a mutex and then replay. A sweep
+ *    fully restored from a journal therefore never builds it.
+ *  - Once: the factory and every copy of it share one build state,
+ *    so the buffer is generated at most once per factory and lives
+ *    until the factory and the last source holding it are gone.
+ *  - Failures are not cached: the building job polls its cancel
+ *    token every 64K records, and a cancelled, timed-out or
+ *    over-budget build leaves nothing behind; the next pull retries.
+ *  - Budget: every source charges records x sizeof(MemRef) to its
+ *    job's MemBudget before delivering its first record, whichever
+ *    job built the buffer, and holds the charge for its lifetime.
+ *  - An invalid @p cfg fails every per-job call with the Usage error
+ *    of trace::validateConfig(), as a generator would.
+ */
 TraceFactory atumTraceFactory(const trace::AtumLikeConfig &cfg);
 
 /**
+ * The source atumTraceFactory hands each job: a VectorTraceSource
+ * over the factory's shared buffer, acquired (and built, when no
+ * earlier pull did) on its first next() / nextBatch(). A failed
+ * acquisition is sticky in error(), as for a file reader.
+ */
+class SharedTraceSource final : public trace::TraceSource
+{
+  public:
+    /** The build state one factory shares with all its sources. */
+    struct State;
+
+    explicit SharedTraceSource(std::shared_ptr<State> state);
+
+    bool
+    next(trace::MemRef &ref) override
+    {
+        return (ready_ || acquire()) && replay_.next(ref);
+    }
+
+    std::size_t
+    nextBatch(trace::MemRef *out, std::size_t max) override
+    {
+        return (ready_ || acquire()) ? replay_.nextBatch(out, max) : 0;
+    }
+
+    void reset() override { replay_.reset(); }
+
+    const Error &error() const override { return error_; }
+
+    void setCancelToken(const CancelToken *t) override { cancel_ = t; }
+
+    void setMemBudget(MemBudget *b) override { budget_ = b; }
+
+    /** The buffer this source replays: empty before its first pull. */
+    const trace::SharedRefs &buffer() const { return replay_.shared(); }
+
+  private:
+    /** Charge the budget, then take (or build) the shared buffer. */
+    bool acquire();
+
+    std::shared_ptr<State> state_;
+    trace::VectorTraceSource replay_;
+    bool ready_ = false;
+    Error error_;
+    const CancelToken *cancel_ = nullptr;
+    MemBudget *budget_ = nullptr;
+    MemCharge charge_;
+};
+
+/**
  * A TraceFactory that opens @p path once per job, with the format
- * (din / bin / ftr) detected from extension or magic. @p policy
+ * (din / ftr) detected from extension or magic. @p policy
  * governs damaged-record handling; under ErrorMode::Skip every job
  * sees the identical post-skip stream, so sweep results stay
  * deterministic even over a damaged trace.

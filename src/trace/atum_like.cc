@@ -30,12 +30,35 @@ AtumLikeGenerator::AtumLikeGenerator(const AtumLikeConfig &cfg)
 }
 
 std::uint64_t
-AtumLikeGenerator::totalRefs() const
+AtumLikeConfig::totalRefs() const
 {
     std::uint64_t flushes =
-        cfg_.flush_between_segments ? cfg_.segments - 1 : 0;
-    return static_cast<std::uint64_t>(cfg_.segments) *
-               cfg_.refs_per_segment + flushes;
+        flush_between_segments && segments > 0 ? segments - 1 : 0;
+    return static_cast<std::uint64_t>(segments) * refs_per_segment +
+           flushes;
+}
+
+SharedRefs
+materializeTrace(const AtumLikeConfig &cfg, const CancelToken *cancel)
+{
+    constexpr std::size_t kCheckEvery = std::size_t{1} << 16;
+    AtumLikeGenerator gen(cfg);
+    auto refs = std::make_shared<std::vector<MemRef>>();
+    refs->reserve(gen.totalRefs());
+    MemRef r;
+    while (gen.next(r)) {
+        if (cancel && refs->size() % kCheckEvery == 0) {
+            Expected<void> go = cancel->checkpoint();
+            if (!go.ok())
+                throwError(Error(go.error())
+                               .withContext("materializing the trace "
+                                            "after " +
+                                            std::to_string(refs->size()) +
+                                            " records"));
+        }
+        refs->push_back(r);
+    }
+    return refs;
 }
 
 void

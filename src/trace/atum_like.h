@@ -56,6 +56,10 @@ struct AtumLikeConfig
     /** Behaviour knobs of the OS pseudo-process. */
     ProcessParams os;
 
+    /** Records the trace holds: every segment's references plus
+     *  the flush markers between segments. */
+    std::uint64_t totalRefs() const;
+
     AtumLikeConfig()
     {
         // The OS touches more code and a wider data footprint with
@@ -94,7 +98,7 @@ class AtumLikeGenerator : public TraceSource
 
     /** Total references this source will emit (including flush
      *  markers). */
-    std::uint64_t totalRefs() const;
+    std::uint64_t totalRefs() const { return cfg_.totalRefs(); }
 
     /** The configuration in use. */
     const AtumLikeConfig &config() const { return cfg_; }
@@ -115,6 +119,16 @@ class AtumLikeGenerator : public TraceSource
     std::size_t current_proc_ = 0;
     std::uint64_t burst_left_ = 0;
 };
+
+/**
+ * Generate @p cfg's whole stream into one immutable buffer, sized
+ * exactly from totalRefs() so it never regrows.
+ * Polls @p cancel (may be null) every 64K records and throws its
+ * Cancelled / Timeout error, returning nothing. Throws like the
+ * generator's constructor on an invalid config.
+ */
+SharedRefs materializeTrace(const AtumLikeConfig &cfg,
+                            const CancelToken *cancel = nullptr);
 
 } // namespace trace
 } // namespace assoc

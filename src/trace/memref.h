@@ -58,6 +58,10 @@ struct MemRef
     }
 };
 
+// Shared trace buffers are priced and budgeted at 8 bytes a record
+// (docs/ROBUSTNESS.md, "Memory budgets").
+static_assert(sizeof(MemRef) == 8, "MemRef must stay 8 bytes");
+
 /** Human-readable name of a reference type. */
 const char *refTypeName(RefType t);
 

@@ -2,10 +2,10 @@
  * @file
  * Streaming trace-source interface and a simple in-memory source.
  *
- * Traces are streamed rather than materialized: an 8-million
- * reference trace replayed over dozens of cache configurations
- * would otherwise dominate memory. Sources are resettable so every
- * configuration replays the byte-identical stream.
+ * Sources are resettable so every configuration replays the
+ * byte-identical stream. File and generator sources stream; a trace
+ * replayed by many sweep jobs is materialized once into a SharedRefs
+ * buffer (8 B per record) that every job's VectorTraceSource reads.
  */
 
 #ifndef ASSOC_TRACE_TRACE_SOURCE_H
@@ -14,6 +14,7 @@
 #include <algorithm>
 #include <cstddef>
 #include <cstdint>
+#include <memory>
 #include <vector>
 
 #include "trace/memref.h"
@@ -106,24 +107,36 @@ throwIfFailed(const TraceSource &src)
         throwError(Error(src.error()));
 }
 
-/** Trace source over an in-memory vector (tests, small traces). */
-class VectorTraceSource : public TraceSource
+/**
+ * An immutable reference buffer that many sources may replay at
+ * once: nobody writes it after it is built, so concurrent readers
+ * need no lock.
+ */
+using SharedRefs = std::shared_ptr<const std::vector<MemRef>>;
+
+/**
+ * Trace source over an in-memory vector: small test traces, and the
+ * replay of one materialized trace (materializeTrace()) by every job
+ * of a sweep. Sources built from the same SharedRefs share the
+ * records; each keeps only its own position.
+ */
+class VectorTraceSource final : public TraceSource
 {
   public:
-    VectorTraceSource() = default;
+    VectorTraceSource() : VectorTraceSource(std::vector<MemRef>()) {}
     explicit VectorTraceSource(std::vector<MemRef> refs)
-        : refs_(std::move(refs))
+        : refs_(std::make_shared<const std::vector<MemRef>>(
+              std::move(refs)))
     {}
-
-    /** Append one reference (before streaming). */
-    void push(const MemRef &r) { refs_.push_back(r); }
+    explicit VectorTraceSource(SharedRefs refs) : refs_(std::move(refs))
+    {}
 
     bool
     next(MemRef &ref) override
     {
-        if (pos_ >= refs_.size())
+        if (pos_ >= refs_->size())
             return false;
-        ref = refs_[pos_++];
+        ref = (*refs_)[pos_++];
         return true;
     }
 
@@ -133,23 +146,26 @@ class VectorTraceSource : public TraceSource
     std::size_t
     nextBatch(MemRef *out, std::size_t max) override
     {
-        std::size_t n = refs_.size() - pos_;
+        std::size_t n = refs_->size() - pos_;
         if (n > max)
             n = max;
-        std::copy_n(refs_.begin() + static_cast<std::ptrdiff_t>(pos_),
+        std::copy_n(refs_->begin() + static_cast<std::ptrdiff_t>(pos_),
                     n, out);
         pos_ += n;
         return n;
     }
 
     /** Total number of stored references. */
-    std::size_t size() const { return refs_.size(); }
+    std::size_t size() const { return refs_->size(); }
 
     /** Access to the underlying records. */
-    const std::vector<MemRef> &refs() const { return refs_; }
+    const std::vector<MemRef> &refs() const { return *refs_; }
+
+    /** The buffer itself, shareable with further sources. */
+    const SharedRefs &shared() const { return refs_; }
 
   private:
-    std::vector<MemRef> refs_;
+    SharedRefs refs_;
     std::size_t pos_ = 0;
 };
 

@@ -17,10 +17,14 @@ class DinIoTest : public ::testing::Test
     void
     SetUp() override
     {
+        // ctest runs every case as its own process, concurrently:
+        // the path must be unique per test, not just per binary.
         path_ = ::testing::TempDir() + "din_io_test_" +
-                std::to_string(::testing::UnitTest::GetInstance()
-                                   ->random_seed()) +
+                ::testing::UnitTest::GetInstance()
+                    ->current_test_info()
+                    ->name() +
                 ".din";
+        std::remove(path_.c_str());
     }
 
     void TearDown() override { std::remove(path_.c_str()); }

@@ -40,9 +40,8 @@ TEST(VectorTraceSource, EmptySourceEndsImmediately)
 
 TEST(VectorTraceSource, StreamsInOrder)
 {
-    VectorTraceSource src;
-    src.push({0x10, RefType::Read, 1});
-    src.push({0x20, RefType::Write, 2});
+    VectorTraceSource src({{0x10, RefType::Read, 1},
+                           {0x20, RefType::Write, 2}});
     MemRef r;
     ASSERT_TRUE(src.next(r));
     EXPECT_EQ(r.addr, 0x10u);

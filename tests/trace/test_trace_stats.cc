@@ -97,7 +97,8 @@ TEST(SegmentStats, FootprintIsPerSegment)
 
 TEST(SegmentStats, NoFlushGivesOneSegment)
 {
-    VectorTraceSource src({{0x00, RefType::Read, 0}});
+    VectorTraceSource src(
+        std::vector<MemRef>{{0x00, RefType::Read, 0}});
     auto segs = collectSegmentStats(src);
     ASSERT_EQ(segs.size(), 1u);
     EXPECT_EQ(segs[0].refs, 1u);
@@ -145,7 +146,8 @@ TEST(SegmentStats, SegmentTotalsMatchWholeTraceStats)
 
 TEST(TraceStats, PrintMentionsKeyNumbers)
 {
-    VectorTraceSource src({{0x00, RefType::Read, 1}});
+    VectorTraceSource src(
+        std::vector<MemRef>{{0x00, RefType::Read, 1}});
     TraceStats s = collectStats(src);
     std::ostringstream oss;
     s.print(oss);
