@@ -619,6 +619,10 @@ struct SvcFixture
     static constexpr std::uint32_t kLines = 2048;
     static constexpr std::uint32_t kAccessSpace = 4 * kLines;
 
+    SvcFixture() = default;
+    explicit SvcFixture(const svc::SvcConfig &c) : cfg(c) {}
+
+    svc::SvcConfig cfg; ///< service config (default: no admission)
     std::mutex mu;
     std::unique_ptr<svc::CacheService> service;
     std::vector<svc::Session *> sessions;
@@ -630,7 +634,7 @@ struct SvcFixture
         if (!service || sessions.size() != threads) {
             Expected<std::unique_ptr<svc::CacheService>> e =
                 svc::CacheService::create(
-                    mem::CacheGeometry(65536, 32, 8));
+                    mem::CacheGeometry(65536, 32, 8), cfg);
             if (!e.ok())
                 throw std::runtime_error(e.error().message());
             service = e.take();
@@ -660,6 +664,22 @@ SvcFixture &
 svcAccessFixture()
 {
     static SvcFixture fx;
+    return fx;
+}
+
+SvcFixture &
+svcRequestFixture()
+{
+    // Admission on with a quota that refills a whole token per
+    // request and no in-flight cap: every request runs both gates
+    // and none is shed.
+    static SvcFixture fx{[] {
+        svc::SvcConfig cfg;
+        cfg.admission.enabled = true;
+        cfg.admission.refill_num = 1;
+        cfg.admission.refill_den = 1;
+        return cfg;
+    }()};
     return fx;
 }
 
@@ -705,6 +725,32 @@ BM_SvcAccess(benchmark::State &state)
 }
 
 BENCHMARK(BM_SvcAccess)
+    ->Threads(1)
+    ->Threads(2)
+    ->Threads(4)
+    ->Threads(8)
+    ->UseRealTime();
+
+void
+BM_SvcRequest(benchmark::State &state)
+{
+    // BM_SvcAccess's traffic through the full admitted request path
+    // (Session::request: deadline, quota and in-flight gates, then
+    // the engine), which session->access bypasses.
+    svc::Session *session = svcRequestFixture().sessionFor(
+        static_cast<unsigned>(state.threads()),
+        static_cast<unsigned>(state.thread_index()));
+    Pcg32 rng(0xacce, 7 + state.thread_index());
+    for (auto _ : state) {
+        std::uint32_t b = rng.below(SvcFixture::kAccessSpace);
+        Expected<svc::OpResult> r =
+            session->request(svc::OpKind::Access, b, (b & 7) == 0);
+        benchmark::DoNotOptimize(r);
+    }
+    state.SetItemsProcessed(state.iterations());
+}
+
+BENCHMARK(BM_SvcRequest)
     ->Threads(1)
     ->Threads(2)
     ->Threads(4)

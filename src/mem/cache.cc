@@ -1,6 +1,7 @@
 #include "mem/cache.h"
 
 #include <algorithm>
+#include <atomic>
 #include <bit>
 #include <cstring>
 
@@ -417,9 +418,6 @@ WriteBackCache::fill(BlockAddr b, bool dirty)
         res.evicted = true;
         res.victim_block = blocks_[idx];
         res.victim_dirty = (dirty_[mi] & bit) != 0;
-        evictions_.fetch_add(1, std::memory_order_relaxed);
-        if (res.victim_dirty)
-            dirty_evictions_.fetch_add(1, std::memory_order_relaxed);
     }
     planeStore(blocks_[idx], b);
     planeStore(valid_[mi], valid_[mi] | bit);
@@ -427,7 +425,6 @@ WriteBackCache::fill(BlockAddr b, bool dirty)
         planeStore(dirty_[mi], dirty_[mi] | bit);
     else
         planeStore(dirty_[mi], dirty_[mi] & ~bit);
-    fills_.fetch_add(1, std::memory_order_relaxed);
     makeMru(set, res.way);
 
     // Fill-age bookkeeping (drives the Fifo policy; cheap enough to

@@ -93,20 +93,18 @@ AdmissionController::checkQuota(Bucket &bucket, OpKind kind,
 Expected<AdmissionController::InflightGuard>
 AdmissionController::tryEnter()
 {
+    // Uncapped: no slot to take, so write no line that every client
+    // thread shares.
+    if (!cfg_.enabled || cfg_.max_inflight == 0)
+        return Expected<InflightGuard>(InflightGuard());
     std::uint32_t now =
         inflight_.fetch_add(1, std::memory_order_relaxed) + 1;
-    if (cfg_.enabled && cfg_.max_inflight != 0 &&
-        now > cfg_.max_inflight) {
+    if (now > cfg_.max_inflight) {
         inflight_.fetch_sub(1, std::memory_order_relaxed);
         return Error::overloaded(
             "service at its in-flight cap (" +
             std::to_string(cfg_.max_inflight) +
             " concurrent requests)");
-    }
-    std::uint32_t hi = inflight_peak_.load(std::memory_order_relaxed);
-    while (hi < now &&
-           !inflight_peak_.compare_exchange_weak(
-               hi, now, std::memory_order_relaxed)) {
     }
     return Expected<InflightGuard>(InflightGuard(this));
 }

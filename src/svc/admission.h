@@ -19,9 +19,11 @@
  *     shed_writes / degraded counters they feed) are therefore
  *     bit-for-bit reproducible across reruns and thread schedules,
  *     which is what lets the chaos campaign diff them.
- *  2. Global in-flight cap. A plain atomic high-water gate over all
- *     tenants; verdicts depend on real thread timing, so
- *     shed_inflight is *excluded* from determinism digests.
+ *  2. Global in-flight cap. A plain atomic counter over all
+ *     tenants, kept only while a cap is in force (uncapped requests
+ *     touch no shared state); verdicts depend on real thread
+ *     timing, so shed_inflight is *excluded* from determinism
+ *     digests.
  *
  * The quota gate runs first even though the in-flight gate is
  * cheaper: a request that consumes a token and then bounces off the
@@ -175,8 +177,8 @@ struct AdmissionStats
 /**
  * The service-wide admission gate. One instance per CacheService;
  * quota state lives in per-session Buckets (single-threaded like
- * the session itself), so only the in-flight gate is shared.
- * Thread-safe where shared.
+ * the session itself), so only the in-flight gate is shared, and
+ * only under a cap. Thread-safe where shared.
  */
 class AdmissionController
 {
@@ -265,23 +267,19 @@ class AdmissionController
     /**
      * The in-flight gate: claim a slot, or fail when max_inflight
      * slots are already taken (the caller records shed_inflight and
-     * returns Error::overloaded()). Never fails when the cap is 0
-     * or admission is disabled. Thread-safe.
+     * returns Error::overloaded()). When the cap is 0 or admission
+     * is disabled it never fails and returns an empty guard without
+     * touching shared state, so only a capped service pays for the
+     * shared counter. Thread-safe.
      */
     Expected<InflightGuard> tryEnter();
 
-    /** Requests currently holding an in-flight slot. */
+    /** Requests currently holding an in-flight slot; always 0 when
+     *  no cap is in force (nothing is counted then). */
     std::uint32_t
     inflight() const
     {
         return inflight_.load(std::memory_order_relaxed);
-    }
-
-    /** High-water mark of inflight(). */
-    std::uint32_t
-    inflightPeak() const
-    {
-        return inflight_peak_.load(std::memory_order_relaxed);
     }
 
   private:
@@ -289,7 +287,6 @@ class AdmissionController
 
     AdmissionConfig cfg_;
     std::atomic<std::uint32_t> inflight_{0};
-    std::atomic<std::uint32_t> inflight_peak_{0};
 };
 
 } // namespace svc

@@ -20,6 +20,7 @@
 #include "core/scheme.h"
 #include "sim/runner.h"
 #include "svc/concurrent_cache.h"
+#include "svc/service.h"
 #include "trace/atum_like.h"
 #include "trace/trace_source.h"
 
@@ -176,6 +177,52 @@ TEST(AllocFree, ConcurrentCacheAccessAndProbeDoNotAllocate)
     }
     EXPECT_EQ(allocs() - before, 0u);
     EXPECT_GT(hits, 0u);
+}
+
+/** Allocations made by 100k admitted Session::request calls, mixed
+ *  probes and accesses, through a service configured by @p cfg. */
+std::uint64_t
+sessionRequestAllocs(const svc::SvcConfig &cfg)
+{
+    Expected<std::unique_ptr<svc::CacheService>> e =
+        svc::CacheService::create(mem::CacheGeometry(16384, 32, 8),
+                                  cfg);
+    EXPECT_TRUE(e.ok());
+    std::unique_ptr<svc::CacheService> service = e.take();
+    Expected<svc::Session *> opened = service->openSession("alloc");
+    EXPECT_TRUE(opened.ok());
+    svc::Session *s = opened.take();
+
+    const std::uint64_t blocks = 4 * 16384 / 32;
+    // One-time lazy initialization (kernel dispatch) is not counted.
+    EXPECT_TRUE(s->request(svc::OpKind::Access, 0, false).ok());
+    EXPECT_TRUE(s->request(svc::OpKind::Probe, 0, false).ok());
+    std::uint64_t before = allocs();
+    std::uint64_t completed = 0;
+    for (std::uint64_t i = 0; i < 100000; ++i) {
+        mem::BlockAddr b = (i * 2654435761u) % blocks;
+        svc::OpKind kind =
+            i % 2 ? svc::OpKind::Probe : svc::OpKind::Access;
+        completed += s->request(kind, b, i % 3 == 0).ok();
+    }
+    std::uint64_t made = allocs() - before;
+    EXPECT_EQ(completed, 100000u);
+    return made;
+}
+
+TEST(AllocFree, AdmittedSessionRequestsDoNotAllocate)
+{
+    svc::SvcConfig off; // admission disabled
+    EXPECT_EQ(sessionRequestAllocs(off), 0u);
+
+    // Quota gate on, refilling a whole token per request: every
+    // request runs the bucket and the (uncapped) in-flight gate,
+    // and none is shed.
+    svc::SvcConfig quota;
+    quota.admission.enabled = true;
+    quota.admission.refill_num = 1;
+    quota.admission.refill_den = 1;
+    EXPECT_EQ(sessionRequestAllocs(quota), 0u);
 }
 
 TEST(AllocFree, AtumLikeGeneratorAllocatesRarely)

@@ -78,12 +78,11 @@ TEST(WriteBackCache, DirtyVictimReported)
 {
     WriteBackCache c = makeCache(64, 16, 4); // one set
     for (std::uint32_t i = 0; i < 4; ++i)
-        c.fill(i, i == 0);
+        EXPECT_FALSE(c.fill(i, i == 0).evicted);
     FillResult fr = c.fill(4, false);
     EXPECT_TRUE(fr.evicted);
     EXPECT_EQ(fr.victim_block, 0u);
     EXPECT_TRUE(fr.victim_dirty);
-    EXPECT_EQ(c.dirtyEvictions(), 1u);
 }
 
 TEST(WriteBackCache, SetDirtyMarksLine)
@@ -176,13 +175,19 @@ TEST(WriteBackCache, FlushEmptiesEverything)
 TEST(WriteBackCache, CountersAccumulate)
 {
     WriteBackCache c = makeCache(32, 16, 2); // one set, 2 ways
-    c.fill(0, false);
-    c.fill(1, true);
-    c.fill(2, false); // evicts block 0 (LRU, clean)
-    c.fill(3, false); // evicts block 1 (dirty)
-    EXPECT_EQ(c.fills(), 4u);
-    EXPECT_EQ(c.evictions(), 2u);
-    EXPECT_EQ(c.dirtyEvictions(), 1u);
+    FillResult f[] = {
+        c.fill(0, false),
+        c.fill(1, true),
+        c.fill(2, false), // evicts block 0 (LRU, clean)
+        c.fill(3, false), // evicts block 1 (dirty)
+    };
+    for (int i = 0; i < 4; ++i) {
+        EXPECT_GE(f[i].way, 0) << "fill " << i;
+        EXPECT_EQ(f[i].evicted, i >= 2) << "fill " << i;
+        EXPECT_EQ(f[i].victim_dirty, i == 3) << "fill " << i;
+    }
+    EXPECT_EQ(f[2].victim_block, 0u);
+    EXPECT_EQ(f[3].victim_block, 1u);
 }
 
 TEST(WriteBackCache, DirectMappedBehaviour)

@@ -12,7 +12,6 @@
  */
 
 #include <cstdint>
-#include <memory>
 #include <set>
 #include <vector>
 
@@ -26,18 +25,16 @@ using namespace assoc::mem;
 
 namespace {
 
-/** One-set TreePlru cache with every way valid. The cache holds
- * atomic lifetime counters and cannot be moved, so the fixture
- * owns it behind a unique_ptr. */
-std::unique_ptr<WriteBackCache>
+/** One-set TreePlru cache with every way valid. */
+WriteBackCache
 warmPlruCache(unsigned a)
 {
     const std::uint32_t block = 16;
-    auto cache = std::make_unique<WriteBackCache>(
-        CacheGeometry(block * a, block, a), ReplPolicy::TreePlru);
+    WriteBackCache cache(CacheGeometry(block * a, block, a),
+                         ReplPolicy::TreePlru);
     for (unsigned i = 0; i < a; ++i)
-        cache->fill(static_cast<BlockAddr>(i), false);
-    EXPECT_EQ(cache->validCount(0), a);
+        cache.fill(static_cast<BlockAddr>(i), false);
+    EXPECT_EQ(cache.validCount(0), a);
     return cache;
 }
 
@@ -47,12 +44,12 @@ class PlruProperty : public ::testing::TestWithParam<unsigned>
 TEST_P(PlruProperty, JustTouchedWayIsNeverTheVictim)
 {
     const unsigned a = GetParam();
-    std::unique_ptr<WriteBackCache> cache = warmPlruCache(a);
+    WriteBackCache cache = warmPlruCache(a);
     Pcg32 rng(0x91u + a);
     for (int step = 0; step < 2000; ++step) {
         const int way = static_cast<int>(rng.below(a));
-        cache->touch(0, way);
-        EXPECT_NE(cache->victimWay(0), way)
+        cache.touch(0, way);
+        EXPECT_NE(cache.victimWay(0), way)
             << "assoc " << a << " step " << step;
     }
 }
@@ -60,20 +57,20 @@ TEST_P(PlruProperty, JustTouchedWayIsNeverTheVictim)
 TEST_P(PlruProperty, VictimsCycleThroughAllWaysFairly)
 {
     const unsigned a = GetParam();
-    std::unique_ptr<WriteBackCache> cache = warmPlruCache(a);
+    WriteBackCache cache = warmPlruCache(a);
     // Touching the victim flips every tree node on its root-to-leaf
     // path, so successive victims must sweep all a ways before any
     // repeats — for several consecutive sweeps.
     for (int round = 0; round < 4; ++round) {
         std::set<int> seen;
         for (unsigned i = 0; i < a; ++i) {
-            int v = cache->victimWay(0);
+            int v = cache.victimWay(0);
             ASSERT_GE(v, 0);
             ASSERT_LT(v, static_cast<int>(a));
             EXPECT_TRUE(seen.insert(v).second)
                 << "victim " << v << " repeated before all " << a
                 << " ways were cycled (round " << round << ")";
-            cache->touch(0, v);
+            cache.touch(0, v);
         }
         EXPECT_EQ(seen.size(), a);
     }
@@ -83,11 +80,11 @@ TEST_P(PlruProperty, VictimIsStableWithoutIntermediateTouches)
 {
     // victimWay() is const: asking twice must answer the same.
     const unsigned a = GetParam();
-    std::unique_ptr<WriteBackCache> cache = warmPlruCache(a);
+    WriteBackCache cache = warmPlruCache(a);
     Pcg32 rng(0x7eu + a);
     for (int step = 0; step < 100; ++step) {
-        cache->touch(0, static_cast<int>(rng.below(a)));
-        EXPECT_EQ(cache->victimWay(0), cache->victimWay(0));
+        cache.touch(0, static_cast<int>(rng.below(a)));
+        EXPECT_EQ(cache.victimWay(0), cache.victimWay(0));
     }
 }
 
@@ -100,14 +97,14 @@ TEST(PlruProperty, InvalidFramesAreVictimizedFirst)
     // With an invalid frame present the policy must not even be
     // consulted: fills take the empty frame (inexpensive, and what
     // the packed-order suffix invariant guarantees is available).
-    std::unique_ptr<WriteBackCache> cache = warmPlruCache(8);
-    ASSERT_GE(cache->findWay(3), 0);
-    cache->invalidate(3); // clean line: returns false, still drops it
-    ASSERT_LT(cache->findWay(3), 0);
-    EXPECT_EQ(cache->victimWay(0), cache->mruOrder(0).back());
-    FillResult fr = cache->fill(100, false);
+    WriteBackCache cache = warmPlruCache(8);
+    ASSERT_GE(cache.findWay(3), 0);
+    cache.invalidate(3); // clean line: returns false, still drops it
+    ASSERT_LT(cache.findWay(3), 0);
+    EXPECT_EQ(cache.victimWay(0), cache.mruOrder(0).back());
+    FillResult fr = cache.fill(100, false);
     EXPECT_FALSE(fr.evicted);
-    EXPECT_EQ(cache->validCount(0), 8u);
+    EXPECT_EQ(cache.validCount(0), 8u);
 }
 
 } // namespace
