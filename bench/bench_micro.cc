@@ -145,8 +145,9 @@ BENCHMARK(BM_WayPredictLookup)->Arg(4)->Arg(8)->Arg(16);
 
 // -----------------------------------------------------------------
 // Kernel sections: the raw dispatch-free cost of each registered
-// ISA table (BM_Kernel*_scalar vs _swar vs _avx2 prices the vector
-// win in isolation; the strategy benchmarks above price it through
+// table and of the reference oracle (BM_Kernel*_reference vs
+// _portable vs _avx2 prices each portable pick and the vector win
+// in isolation; the strategy benchmarks above price it through
 // activeKernels()). Registered dynamically in main() because the
 // set of tables is a runtime property of the machine.
 // -----------------------------------------------------------------
@@ -164,6 +165,29 @@ runEqMask(benchmark::State &state, const core::LookupKernels &kern)
         const BenchSet &s = sets[i & 255];
         benchmark::DoNotOptimize(kern.eq_mask(
             s.tags.data(), s.valid.data(), a, s.incoming));
+        ++i;
+    }
+    state.SetItemsProcessed(state.iterations());
+}
+
+void
+runEqMaskBits(benchmark::State &state, const core::LookupKernels &kern)
+{
+    // WriteBackCache::findWay's shape: a packed validity word, here
+    // random so the valid and invalid lanes mix.
+    const unsigned a = static_cast<unsigned>(state.range(0));
+    Pcg32 rng(44);
+    std::vector<BenchSet> sets;
+    std::vector<std::uint64_t> vbits;
+    for (int i = 0; i < 256; ++i) {
+        sets.emplace_back(a, rng);
+        vbits.push_back(rng.next64());
+    }
+    std::size_t i = 0;
+    for (auto _ : state) {
+        const BenchSet &s = sets[i & 255];
+        benchmark::DoNotOptimize(kern.eq_mask_bits(
+            s.tags.data(), vbits[i & 255], a, s.incoming));
         ++i;
     }
     state.SetItemsProcessed(state.iterations());
@@ -229,11 +253,21 @@ runPlaneDecode(benchmark::State &state,
 void
 registerKernelBenchmarks()
 {
-    for (const core::LookupKernels *k : core::registeredKernels()) {
+    std::vector<const core::LookupKernels *> tables =
+        core::registeredKernels();
+    tables.push_back(&core::referenceKernels());
+    for (const core::LookupKernels *k : tables) {
         const std::string suffix = std::string("_") + k->name;
         benchmark::RegisterBenchmark(
             ("BM_KernelEqMask" + suffix).c_str(),
             [k](benchmark::State &st) { runEqMask(st, *k); })
+            ->Arg(4)
+            ->Arg(8)
+            ->Arg(16)
+            ->Arg(64);
+        benchmark::RegisterBenchmark(
+            ("BM_KernelEqMaskBits" + suffix).c_str(),
+            [k](benchmark::State &st) { runEqMaskBits(st, *k); })
             ->Arg(4)
             ->Arg(8)
             ->Arg(16)

@@ -1,6 +1,5 @@
 #include "core/kernels.h"
 
-#include <cstdlib>
 #include <cstring>
 #include <mutex>
 
@@ -11,33 +10,19 @@
 namespace assoc {
 namespace core {
 
-const char *
-kernelIsaName(KernelIsa isa)
-{
-    switch (isa) {
-      case KernelIsa::Scalar:
-        return "scalar";
-      case KernelIsa::Swar:
-        return "swar";
-      case KernelIsa::Avx2:
-        return "avx2";
-      case KernelIsa::Neon:
-        return "neon";
-    }
-    return "unknown";
-}
-
 namespace {
 
 // ---------------------------------------------------------------
-// Scalar reference bodies. These ARE the pre-kernel strategy loops
-// (branches and all) and double as the self-check / equivalence
-// oracle; keep them boring.
+// Reference bodies. These ARE the pre-kernel strategy loops
+// (branches and all) and serve as the self-check / equivalence
+// oracle; keep them boring. The portable table reuses two of them:
+// eq_mask, which measured no slower than the branch-free form, and
+// shift_tags, whose branch-free form is this same loop.
 // ---------------------------------------------------------------
 
 std::uint64_t
-scalarEqMask(const std::uint32_t *tags, const std::uint8_t *valid,
-             unsigned a, std::uint32_t needle)
+referenceEqMask(const std::uint32_t *tags, const std::uint8_t *valid,
+                unsigned a, std::uint32_t needle)
 {
     std::uint64_t m = 0;
     for (unsigned w = 0; w < a; ++w)
@@ -47,8 +32,8 @@ scalarEqMask(const std::uint32_t *tags, const std::uint8_t *valid,
 }
 
 std::uint64_t
-scalarEqMaskBits(const std::uint32_t *vals, std::uint64_t valid_bits,
-                 unsigned a, std::uint32_t needle)
+referenceEqMaskBits(const std::uint32_t *vals, std::uint64_t valid_bits,
+                    unsigned a, std::uint32_t needle)
 {
     std::uint64_t m = 0;
     for (unsigned w = 0; w < a; ++w)
@@ -58,17 +43,10 @@ scalarEqMaskBits(const std::uint32_t *vals, std::uint64_t valid_bits,
 }
 
 std::uint64_t
-scalarEqMaskBitsRelaxed(const std::uint32_t *vals,
-                        std::uint64_t valid_bits, unsigned a,
-                        std::uint32_t needle)
-{
-    return kdetail::swarEqMaskBitsRelaxed(vals, valid_bits, a, needle);
-}
-
-std::uint64_t
-scalarPartialMask(const std::uint32_t *tags, const std::uint8_t *valid,
-                  unsigned g, const std::uint32_t *inc_fields,
-                  unsigned k, TransformKind kind, const TagTransform &xf)
+referencePartialMask(const std::uint32_t *tags,
+                     const std::uint8_t *valid, unsigned g,
+                     const std::uint32_t *inc_fields, unsigned k,
+                     TransformKind kind, const TagTransform &xf)
 {
     // The original PartialLookup inner loop: per-way virtual
     // apply() + field() calls, no closed forms. (void)k/kind — the
@@ -87,112 +65,91 @@ scalarPartialMask(const std::uint32_t *tags, const std::uint8_t *valid,
 }
 
 void
-scalarExpandBits(std::uint64_t bits, unsigned n, std::uint8_t *out)
+referenceExpandBits(std::uint64_t bits, unsigned n, std::uint8_t *out)
 {
     for (unsigned i = 0; i < n; ++i)
         out[i] = static_cast<std::uint8_t>((bits >> i) & 1);
 }
 
 void
-scalarExpandNibbles(std::uint64_t word, unsigned n, std::uint8_t *out)
+referenceExpandNibbles(std::uint64_t word, unsigned n,
+                       std::uint8_t *out)
 {
     for (unsigned i = 0; i < n; ++i)
         out[i] = static_cast<std::uint8_t>((word >> (4 * i)) & 0xf);
 }
 
 void
-scalarShiftTags(const std::uint32_t *in, unsigned n, unsigned shift,
-                std::uint32_t *out)
+referenceShiftTags(const std::uint32_t *in, unsigned n, unsigned shift,
+                   std::uint32_t *out)
 {
     for (unsigned i = 0; i < n; ++i)
         out[i] = in[i] >> shift;
 }
 
-// --------------------- SWAR table bodies -----------------------
+// ------------- Branch-free bodies (portable table only) ----------
 
 std::uint64_t
-swarEqMaskFn(const std::uint32_t *tags, const std::uint8_t *valid,
-             unsigned a, std::uint32_t needle)
+portableEqMaskBits(const std::uint32_t *vals, std::uint64_t valid_bits,
+                   unsigned a, std::uint32_t needle)
 {
-    return kdetail::swarEqMask(tags, valid, a, needle);
+    std::uint64_t m = 0;
+    for (unsigned w = 0; w < a; ++w)
+        m |= static_cast<std::uint64_t>(vals[w] == needle) << w;
+    return m & valid_bits & maskBits(a);
 }
 
+/** Closed-form transforms instead of per-way virtual calls. */
 std::uint64_t
-swarEqMaskBitsFn(const std::uint32_t *vals, std::uint64_t valid_bits,
-                 unsigned a, std::uint32_t needle)
-{
-    return kdetail::swarEqMaskBits(vals, valid_bits, a, needle);
-}
-
-std::uint64_t
-swarEqMaskBitsRelaxedFn(const std::uint32_t *vals,
-                        std::uint64_t valid_bits, unsigned a,
-                        std::uint32_t needle)
-{
-    return kdetail::swarEqMaskBitsRelaxed(vals, valid_bits, a, needle);
-}
-
-std::uint64_t
-swarPartialMaskFn(const std::uint32_t *tags, const std::uint8_t *valid,
-                  unsigned g, const std::uint32_t *inc_fields,
-                  unsigned k, TransformKind kind, const TagTransform &xf)
+portablePartialMask(const std::uint32_t *tags, const std::uint8_t *valid,
+                    unsigned g, const std::uint32_t *inc_fields,
+                    unsigned k, TransformKind kind,
+                    const TagTransform &xf)
 {
     (void)xf;
-    return kdetail::swarPartialMask(tags, valid, g, inc_fields, k,
-                                    kind);
-}
-
-void
-swarExpandBitsFn(std::uint64_t bits, unsigned n, std::uint8_t *out)
-{
-    kdetail::swarExpandBits(bits, n, out);
-}
-
-void
-swarExpandNibblesFn(std::uint64_t word, unsigned n, std::uint8_t *out)
-{
-    kdetail::swarExpandNibbles(word, n, out);
-}
-
-void
-swarShiftTagsFn(const std::uint32_t *in, unsigned n, unsigned shift,
-                std::uint32_t *out)
-{
-    kdetail::swarShiftTags(in, n, shift, out);
+    std::uint64_t m = 0;
+    for (unsigned l = 0; l < g; ++l)
+        m |= static_cast<std::uint64_t>(
+                 static_cast<unsigned>(valid[l] != 0) &
+                 static_cast<unsigned>(
+                     kdetail::partialStoredField(tags[l], l, k, kind) ==
+                     inc_fields[l]))
+             << l;
+    return m;
 }
 
 } // namespace
 
 const LookupKernels &
-scalarKernels()
+referenceKernels()
 {
     static const LookupKernels k = {
-        KernelIsa::Scalar,
-        "scalar",
-        scalarEqMask,
-        scalarEqMaskBits,
-        scalarEqMaskBitsRelaxed,
-        scalarPartialMask,
-        scalarExpandBits,
-        scalarExpandNibbles,
-        scalarShiftTags,
+        "reference",
+        referenceEqMask,
+        referenceEqMaskBits,
+        kdetail::eqMaskBitsRelaxed,
+        referencePartialMask,
+        referenceExpandBits,
+        referenceExpandNibbles,
+        referenceShiftTags,
     };
     return k;
 }
 
 const LookupKernels &
-swarKernels()
+portableKernels()
 {
+    // Each op takes whichever of the plain loop and the branch-free
+    // body measured faster (docs/KERNELS.md, "Tables").
     static const LookupKernels k = {
-        KernelIsa::Swar,
-        "swar",
-        swarEqMaskFn,
-        swarEqMaskBitsFn,
-        swarEqMaskBitsRelaxedFn,
-        swarPartialMaskFn,
-        swarExpandBitsFn,
-        swarExpandNibblesFn,
-        swarShiftTagsFn,
+        "portable",
+        referenceEqMask,
+        portableEqMaskBits,
+        kdetail::eqMaskBitsRelaxed,
+        portablePartialMask,
+        kdetail::expandBits,
+        kdetail::expandNibbles,
+        referenceShiftTags,
     };
     return k;
 }
@@ -203,40 +160,13 @@ swarKernels()
  */
 const LookupKernels *avx2KernelsOrNull();
 
-const LookupKernels *
-neonKernelsOrNull()
-{
-#if defined(__aarch64__)
-    // NEON stub: registered so AArch64 exercises the same dispatch
-    // path, currently backed by the portable SWAR bodies until real
-    // NEON bodies land (docs/KERNELS.md "Adding an ISA").
-    static const LookupKernels k = {
-        KernelIsa::Neon,
-        "neon",
-        swarEqMaskFn,
-        swarEqMaskBitsFn,
-        swarEqMaskBitsRelaxedFn,
-        swarPartialMaskFn,
-        swarExpandBitsFn,
-        swarExpandNibblesFn,
-        swarShiftTagsFn,
-    };
-    return &k;
-#else
-    return nullptr;
-#endif
-}
-
 std::vector<const LookupKernels *>
 registeredKernels()
 {
     std::vector<const LookupKernels *> v;
     if (const LookupKernels *avx2 = avx2KernelsOrNull())
         v.push_back(avx2);
-    if (const LookupKernels *neon = neonKernelsOrNull())
-        v.push_back(neon);
-    v.push_back(&swarKernels());
-    v.push_back(&scalarKernels());
+    v.push_back(&portableKernels());
     return v;
 }
 
@@ -257,7 +187,7 @@ setWhy(std::string *why, const char *kernel, unsigned a, unsigned off)
 bool
 kernelSelfCheck(const LookupKernels &k, std::string *why)
 {
-    const LookupKernels &ref = scalarKernels();
+    const LookupKernels &ref = referenceKernels();
     if (&k == &ref)
         return true; // the oracle is trivially self-consistent
 
@@ -392,35 +322,10 @@ kernelSelfCheck(const LookupKernels &k, std::string *why)
 }
 
 const LookupKernels &
-chooseKernels(const char *env,
-              const std::vector<const LookupKernels *> &registered,
+chooseKernels(const std::vector<const LookupKernels *> &registered,
               std::string *reason)
 {
     std::string note;
-
-    if (env != nullptr && *env != '\0') {
-        const LookupKernels *named = nullptr;
-        for (const LookupKernels *k : registered)
-            if (std::strcmp(k->name, env) == 0) {
-                named = k;
-                break;
-            }
-        if (named == nullptr) {
-            note = "ASSOC_KERNELS='" + std::string(env) +
-                   "' is not registered in this build; ";
-        } else {
-            std::string why;
-            if (kernelSelfCheck(*named, &why)) {
-                if (reason != nullptr)
-                    *reason = std::string("ASSOC_KERNELS=") +
-                              named->name;
-                return *named;
-            }
-            note = std::string("ASSOC_KERNELS=") + named->name +
-                   " failed its self-check (" + why + "); ";
-        }
-    }
-
     for (const LookupKernels *k : registered) {
         std::string why;
         if (kernelSelfCheck(*k, &why)) {
@@ -433,11 +338,9 @@ chooseKernels(const char *env,
         note += std::string(k->name) + " failed its self-check (" +
                 why + "); ";
     }
-
-    // Unreachable in practice: the scalar oracle always passes.
     if (reason != nullptr)
-        *reason = note + "scalar selected as last resort";
-    return scalarKernels();
+        *reason = note + "reference selected as last resort";
+    return referenceKernels();
 }
 
 namespace {
@@ -459,14 +362,12 @@ activeKernels()
     if (k != nullptr)
         return *k;
     std::string reason;
-    const LookupKernels &sel = chooseKernels(
-        std::getenv("ASSOC_KERNELS"), registeredKernels(), &reason);
+    const LookupKernels &sel = chooseKernels(registeredKernels(), &reason);
     g_reason = reason;
     // A fallback means some candidate failed its smoke vectors —
     // correctness is preserved (the selected table passed), but the
     // build deserves a visible note.
-    if (reason.find("failed") != std::string::npos ||
-        reason.find("not registered") != std::string::npos)
+    if (reason.find("failed") != std::string::npos)
         warn("kernel dispatch: " + reason);
     g_active.store(&sel, std::memory_order_release);
     return sel;

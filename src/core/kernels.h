@@ -11,30 +11,30 @@
  * planes that return per-way bitmasks (bit w = way w), plus the
  * plane decode helpers snapshotSet() is built from.
  *
- * Several implementations of the same kernel table are registered:
+ * Two kernel tables are dispatchable:
  *
- *  - scalar  — straight loops, the reference implementation; uses
- *              the TagTransform virtuals exactly like the original
- *              strategy code, so it *is* the old behavior.
- *  - swar    — portable branch-free loops on 64-bit words; no
- *              intrinsics, auto-vectorizable, works everywhere.
- *  - avx2    — 8-way AVX2 intrinsics (x86-64; compiled behind a
- *              function target attribute, selected only when CPUID
- *              reports AVX2 at runtime).
- *  - neon    — AArch64 registry entry; currently a stub that routes
- *              to the SWAR bodies so the dispatch path exists while
- *              real NEON bodies are pending.
+ *  - avx2     — 8-way AVX2 intrinsics (x86-64; compiled behind a
+ *               function target attribute, registered only when
+ *               CPUID reports AVX2 at runtime).
+ *  - portable — no intrinsics, works everywhere; each op takes
+ *               whichever of the plain loop and the branch-free
+ *               word-parallel body measured faster (docs/KERNELS.md).
  *
- * activeKernels() picks the best registered table at first use:
- * explicit ASSOC_KERNELS=<name> override, else avx2 > neon > swar >
- * scalar. Every candidate must pass kernelSelfCheck() — a smoke
- * vector sweep (including misaligned plane offsets) compared against
- * the scalar reference — before it may be selected; a failing
- * candidate is skipped with a warn()ed reason instead of crashing,
- * falling back to the next table in the chain (docs/KERNELS.md).
+ * A third table, referenceKernels(), holds the branchy scalar loops
+ * that call the TagTransform virtuals exactly like the original
+ * strategy code. It *is* the old behavior: the oracle that the
+ * self-check and the tests/kernels suite compare against. It is
+ * never registered and never preferred.
  *
- * Every kernel is bit-identical to the scalar reference by contract:
- * the tests/kernels suite enforces equivalence exhaustively and by
+ * activeKernels() picks at first use: avx2 if registered and it
+ * passes kernelSelfCheck() — a smoke-vector sweep (including
+ * misaligned plane offsets) against the reference — else portable,
+ * under the same check. A failing table is skipped with a warn()ed
+ * reason instead of crashing; if even portable fails, the reference
+ * runs as the last resort.
+ *
+ * Every kernel is bit-identical to the reference by contract: the
+ * tests/kernels suite enforces equivalence exhaustively and by
  * randomized fuzzing, and the goldens / fuzz digests downstream
  * must not move when the dispatch choice changes.
  *
@@ -54,17 +54,6 @@
 namespace assoc {
 namespace core {
 
-/** Instruction sets a kernel table may be built for. */
-enum class KernelIsa : std::uint8_t {
-    Scalar, ///< reference loops (always registered)
-    Swar,   ///< portable branch-free word parallelism (always registered)
-    Avx2,   ///< x86-64 AVX2 (registered when compiled in)
-    Neon,   ///< AArch64 NEON (stub; registered on AArch64)
-};
-
-/** Printable lower-case name ("scalar", "swar", "avx2", "neon"). */
-const char *kernelIsaName(KernelIsa isa);
-
 /**
  * One implementation of the kernel set. All functions are
  * free-standing (no captured state) so a table is just function
@@ -73,8 +62,8 @@ const char *kernelIsaName(KernelIsa isa);
  */
 struct LookupKernels
 {
-    KernelIsa isa = KernelIsa::Scalar;
-    const char *name = "scalar";
+    /** "avx2", "portable" or "reference". */
+    const char *name = "reference";
 
     /**
      * Bit w set iff valid[w] != 0 and tags[w] == needle, for
@@ -98,12 +87,13 @@ struct LookupKernels
     /**
      * eq_mask_bits for the seqlock's optimistic read path: element
      * loads may race per-set-serialized writers, so they must be
-     * torn-read tolerant. Scalar/SWAR bodies load each element
-     * through a relaxed std::atomic_ref; the AVX2 body uses plain
-     * vector loads (element tearing is discarded by the caller's
-     * seqlock validation) except under ThreadSanitizer, where it
-     * routes to the SWAR body so the formal data-race checker sees
-     * only relaxed atomics (see docs/KERNELS.md).
+     * torn-read tolerant. The portable and reference tables load
+     * each element through a relaxed std::atomic_ref; the AVX2
+     * body uses plain vector loads (element tearing is discarded by
+     * the caller's seqlock validation) except under
+     * ThreadSanitizer, where it routes to the shared relaxed body
+     * so the formal data-race checker sees only relaxed atomics
+     * (see docs/KERNELS.md).
      */
     std::uint64_t (*eq_mask_bits_relaxed)(const std::uint32_t *vals,
                                           std::uint64_t valid_bits,
@@ -117,8 +107,9 @@ struct LookupKernels
      * l < g <= 64. The caller precomputes inc_fields[l] =
      * xf.field(xf.apply(incoming, l), l) once per lookup; the
      * stored side is evaluated per way inside the kernel (the
-     * vector bodies use closed forms of the four transforms, the
-     * scalar body calls @p xf exactly like the original strategy).
+     * portable and AVX2 bodies use closed forms of the four
+     * transforms, the reference body calls @p xf exactly like the
+     * original strategy).
      *
      * @param k    field width in bits (xf.fieldBits()).
      * @param kind transform kind (selects the closed form).
@@ -146,21 +137,25 @@ struct LookupKernels
                        unsigned shift, std::uint32_t *out);
 };
 
-/** The reference table (always available, never self-check gated). */
-const LookupKernels &scalarKernels();
+/**
+ * The reference table: the branchy scalar loops, the oracle for
+ * kernelSelfCheck() and the tests. Never registered; dispatch falls
+ * back to it only if portable fails its self-check.
+ */
+const LookupKernels &referenceKernels();
 
-/** The portable branch-free table (always available). */
-const LookupKernels &swarKernels();
+/** The portable best-per-op table (always registered). */
+const LookupKernels &portableKernels();
 
 /**
- * Every table compiled into this binary, in dispatch-preference
- * order (vector ISAs first, scalar last). AVX2 appears when it was
- * compiled in *and* CPUID reports support; NEON on AArch64.
+ * Every dispatchable table in this binary, in preference order:
+ * avx2 (when compiled in *and* CPUID reports support), then
+ * portable.
  */
 std::vector<const LookupKernels *> registeredKernels();
 
 /**
- * Run the smoke-vector equivalence sweep on @p k against the scalar
+ * Run the smoke-vector equivalence sweep on @p k against the
  * reference: eq masks, partial masks under all four transforms,
  * plane decodes — each at several associativities and at misaligned
  * plane offsets. @return true when every vector matches; on
@@ -170,22 +165,19 @@ bool kernelSelfCheck(const LookupKernels &k, std::string *why);
 
 /**
  * The dispatch decision, as a pure function (unit-testable without
- * process-global state): pick from @p registered (preference order,
- * as from registeredKernels()) honoring @p env (the ASSOC_KERNELS
- * value, may be null), self-checking every candidate and falling
- * back — never failing, since the scalar reference always passes
- * against itself. @p reason receives a one-line explanation.
+ * process-global state): the first table in @p registered
+ * (preference order, as from registeredKernels()) that passes its
+ * self-check, else referenceKernels() — never failing. @p reason
+ * receives a one-line explanation.
  */
 const LookupKernels &
-chooseKernels(const char *env,
-              const std::vector<const LookupKernels *> &registered,
+chooseKernels(const std::vector<const LookupKernels *> &registered,
               std::string *reason);
 
 /**
  * The table every strategy and plane decode dispatches through,
  * selected once at first use (thread-safe) and logged via warn()
- * when the choice involved a fallback. Override per-process with
- * ASSOC_KERNELS=scalar|swar|avx2|neon.
+ * when the choice involved a fallback.
  */
 const LookupKernels &activeKernels();
 

@@ -153,9 +153,9 @@ avx2EqMaskBitsRelaxed(const std::uint32_t *vals,
 {
 #if defined(ASSOC_TSAN)
     // Under ThreadSanitizer the racing element loads must be
-    // visible to the checker as relaxed atomics; take the SWAR body
-    // (bit-identical, just not vectorized).
-    return kdetail::swarEqMaskBitsRelaxed(vals, valid_bits, a, needle);
+    // visible to the checker as relaxed atomics; take the shared
+    // relaxed body (bit-identical, just not vectorized).
+    return kdetail::eqMaskBitsRelaxed(vals, valid_bits, a, needle);
 #else
     // Plain vector loads: individual elements may tear against a
     // per-set-serialized writer, but any torn view is discarded by
@@ -233,20 +233,6 @@ avx2PartialMask(const std::uint32_t *tags, const std::uint8_t *valid,
     return m;
 }
 
-void
-avx2ExpandBits(std::uint64_t bits, unsigned n, std::uint8_t *out)
-{
-    // n <= 64 bytes: the SWAR multiply spread is already one store
-    // per 8 ways; a vector version would not pay for its setup.
-    kdetail::swarExpandBits(bits, n, out);
-}
-
-void
-avx2ExpandNibbles(std::uint64_t word, unsigned n, std::uint8_t *out)
-{
-    kdetail::swarExpandNibbles(word, n, out);
-}
-
 __attribute__((target("avx2"))) void
 avx2ShiftTags(const std::uint32_t *in, unsigned n, unsigned shift,
               std::uint32_t *out)
@@ -271,15 +257,17 @@ avx2KernelsOrNull()
 {
     if (!__builtin_cpu_supports("avx2"))
         return nullptr;
+    // The decodes reuse the shared word-parallel bodies: n <= 64
+    // bytes is one multiply-spread store per 8 ways already, and a
+    // vector version would not pay for its setup.
     static const LookupKernels k = {
-        KernelIsa::Avx2,
         "avx2",
         avx2EqMask,
         avx2EqMaskBits,
         avx2EqMaskBitsRelaxed,
         avx2PartialMask,
-        avx2ExpandBits,
-        avx2ExpandNibbles,
+        kdetail::expandBits,
+        kdetail::expandNibbles,
         avx2ShiftTags,
     };
     return &k;

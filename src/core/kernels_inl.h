@@ -3,10 +3,12 @@
  * Shared inline kernel bodies (internal).
  *
  * Included by kernels.cc, kernels_avx2.cc and partial_lookup.cc so
- * the portable-SWAR loops and the closed-form transform fields have
- * exactly one definition: the vector ISAs reuse these for their
- * scalar tails, which guarantees chunk-boundary and tail lanes
- * compute bit-identical values.
+ * the bodies more than one table shares, and the closed-form
+ * transform fields, have exactly one definition: the AVX2 table
+ * reuses them for its scalar tails and decodes, which guarantees
+ * chunk-boundary and tail lanes compute bit-identical values. Each
+ * body has its kernel's exact signature, so a table points at it
+ * directly.
  */
 
 #ifndef ASSOC_CORE_KERNELS_INL_H
@@ -63,37 +65,11 @@ partialStoredField(std::uint32_t tag, unsigned l, unsigned k,
     return 0; // unreachable
 }
 
-/** Branch-free eq_mask body (the SWAR table's implementation). */
-inline std::uint64_t
-swarEqMask(const std::uint32_t *tags, const std::uint8_t *valid,
-           unsigned a, std::uint32_t needle)
-{
-    std::uint64_t m = 0;
-    for (unsigned w = 0; w < a; ++w)
-        m |= static_cast<std::uint64_t>(
-                 static_cast<unsigned>(valid[w] != 0) &
-                 static_cast<unsigned>(tags[w] == needle))
-             << w;
-    return m;
-}
-
-/** Branch-free eq_mask_bits body. */
-inline std::uint64_t
-swarEqMaskBits(const std::uint32_t *vals, std::uint64_t valid_bits,
-               unsigned a, std::uint32_t needle)
-{
-    std::uint64_t m = 0;
-    for (unsigned w = 0; w < a; ++w)
-        m |= static_cast<std::uint64_t>(vals[w] == needle) << w;
-    return m & valid_bits & maskBits(a);
-}
-
 /** eq_mask_bits through relaxed atomic element loads (seqlock
  *  optimistic readers race per-set-serialized writers). */
 inline std::uint64_t
-swarEqMaskBitsRelaxed(const std::uint32_t *vals,
-                      std::uint64_t valid_bits, unsigned a,
-                      std::uint32_t needle)
+eqMaskBitsRelaxed(const std::uint32_t *vals, std::uint64_t valid_bits,
+                  unsigned a, std::uint32_t needle)
 {
     std::uint64_t m = 0;
     for (unsigned w = 0; w < a; ++w) {
@@ -108,27 +84,10 @@ swarEqMaskBitsRelaxed(const std::uint32_t *vals,
     return m & valid_bits & maskBits(a);
 }
 
-/** Closed-form partial_mask body (SWAR table + vector tails). */
-inline std::uint64_t
-swarPartialMask(const std::uint32_t *tags, const std::uint8_t *valid,
-                unsigned g, const std::uint32_t *inc_fields,
-                unsigned k, TransformKind kind)
-{
-    std::uint64_t m = 0;
-    for (unsigned l = 0; l < g; ++l)
-        m |= static_cast<std::uint64_t>(
-                 static_cast<unsigned>(valid[l] != 0) &
-                 static_cast<unsigned>(
-                     partialStoredField(tags[l], l, k, kind) ==
-                     inc_fields[l]))
-             << l;
-    return m;
-}
-
 /** Bit -> byte spread, eight bits per step: replicate the byte,
  *  keep bit j in byte j, then normalize nonzero bytes to 1. */
 inline void
-swarExpandBits(std::uint64_t bits, unsigned n, std::uint8_t *out)
+expandBits(std::uint64_t bits, unsigned n, std::uint8_t *out)
 {
     unsigned i = 0;
     for (; i + 8 <= n; i += 8) {
@@ -144,7 +103,7 @@ swarExpandBits(std::uint64_t bits, unsigned n, std::uint8_t *out)
 
 /** Nibble -> byte spread of one packed order word (n <= 16). */
 inline void
-swarExpandNibbles(std::uint64_t word, unsigned n, std::uint8_t *out)
+expandNibbles(std::uint64_t word, unsigned n, std::uint8_t *out)
 {
     unsigned i = 0;
     for (; i + 8 <= n; i += 8) {
@@ -161,15 +120,6 @@ swarExpandNibbles(std::uint64_t word, unsigned n, std::uint8_t *out)
     }
     for (; i < n; ++i)
         out[i] = static_cast<std::uint8_t>((word >> (4 * i)) & 0xf);
-}
-
-/** Uniform right-shift of a tag plane. */
-inline void
-swarShiftTags(const std::uint32_t *in, unsigned n, unsigned shift,
-              std::uint32_t *out)
-{
-    for (unsigned i = 0; i < n; ++i)
-        out[i] = in[i] >> shift;
 }
 
 } // namespace kdetail

@@ -1,9 +1,10 @@
 /**
  * @file
- * Kernel dispatch and self-check behavior: the registry's
- * preference order, the ASSOC_KERNELS override, and — the startup
- * fix this suite guards — that a table failing its smoke vectors is
- * skipped with a reason instead of crashing or silently miscounting.
+ * Kernel dispatch and self-check behavior: the registry holds
+ * exactly avx2 (when the CPU has it) and portable, the reference
+ * oracle is never registered, and — the startup fix this suite
+ * guards — a table failing its smoke vectors is skipped with a
+ * reason instead of crashing or silently miscounting.
  */
 
 #include <gtest/gtest.h>
@@ -17,13 +18,13 @@ namespace assoc {
 namespace core {
 namespace {
 
-/** A deliberately broken table: eq_mask claims every way matches. */
+/** A deliberately broken copy of @p base: eq_mask claims every way
+ *  matches. */
 LookupKernels
-brokenKernels()
+brokenKernels(const LookupKernels &base, const char *name)
 {
-    LookupKernels k = swarKernels();
-    k.isa = KernelIsa::Swar;
-    k.name = "broken";
+    LookupKernels k = base;
+    k.name = name;
     k.eq_mask = +[](const std::uint32_t *, const std::uint8_t *,
                     unsigned, std::uint32_t) -> std::uint64_t {
         return ~0ull;
@@ -31,18 +32,28 @@ brokenKernels()
     return k;
 }
 
-TEST(KernelDispatch, RegistryHasScalarLastAndSwarAlways)
+TEST(KernelDispatch, RegistryIsAvx2IfSupportedThenPortable)
 {
     std::vector<const LookupKernels *> reg = registeredKernels();
-    // Preference order is vector ISAs first, then the portable
-    // fallbacks: ..., swar, scalar.
-    ASSERT_GE(reg.size(), 2u);
-    EXPECT_EQ(&scalarKernels(), reg.back());
-    EXPECT_EQ(&swarKernels(), reg[reg.size() - 2]);
-    for (std::size_t i = 0; i + 2 < reg.size(); ++i)
-        EXPECT_TRUE(reg[i]->isa == KernelIsa::Avx2 ||
-                    reg[i]->isa == KernelIsa::Neon)
-            << reg[i]->name;
+    ASSERT_GE(reg.size(), 1u);
+    ASSERT_LE(reg.size(), 2u);
+    EXPECT_EQ(&portableKernels(), reg.back());
+    if (reg.size() == 2) {
+        EXPECT_STREQ("avx2", reg.front()->name);
+    }
+#if defined(__x86_64__) && !defined(ASSOC_NO_AVX2_KERNELS)
+    EXPECT_EQ(__builtin_cpu_supports("avx2") ? 2u : 1u, reg.size());
+#else
+    EXPECT_EQ(1u, reg.size());
+#endif
+}
+
+TEST(KernelDispatch, ReferenceIsNeverRegistered)
+{
+    for (const LookupKernels *k : registeredKernels()) {
+        EXPECT_NE(&referenceKernels(), k) << k->name;
+        EXPECT_STRNE("reference", k->name);
+    }
 }
 
 TEST(KernelDispatch, EveryRegisteredTablePassesItsSelfCheck)
@@ -56,55 +67,48 @@ TEST(KernelDispatch, EveryRegisteredTablePassesItsSelfCheck)
 
 TEST(KernelDispatch, SelfCheckCatchesACorruptTable)
 {
-    LookupKernels bad = brokenKernels();
+    LookupKernels bad = brokenKernels(portableKernels(), "broken");
     std::string why;
     EXPECT_FALSE(kernelSelfCheck(bad, &why));
     EXPECT_FALSE(why.empty());
     EXPECT_NE(std::string::npos, why.find("eq_mask")) << why;
 }
 
-TEST(KernelDispatch, ChooseHonorsAnExplicitName)
+TEST(KernelDispatch, ChooseTakesTheFirstPassingTable)
 {
     std::string reason;
-    const LookupKernels &k = chooseKernels(
-        "scalar", registeredKernels(), &reason);
-    EXPECT_EQ(&scalarKernels(), &k);
-    EXPECT_EQ("ASSOC_KERNELS=scalar", reason);
-}
-
-TEST(KernelDispatch, UnknownNameFallsBackWithAReason)
-{
-    std::string reason;
-    const LookupKernels &k = chooseKernels(
-        "sse9", registeredKernels(), &reason);
+    const LookupKernels &k = chooseKernels(registeredKernels(), &reason);
     EXPECT_EQ(registeredKernels().front(), &k);
-    EXPECT_NE(std::string::npos, reason.find("not registered"))
-        << reason;
+    EXPECT_EQ(std::string(k.name) + " selected", reason);
 }
 
 TEST(KernelDispatch, BrokenCandidateIsSkippedNotFatal)
 {
-    LookupKernels bad = brokenKernels();
-    std::vector<const LookupKernels *> reg = {&bad,
-                                              &scalarKernels()};
+    // A corrupt avx2 table falls back to portable, with a reason.
+    LookupKernels bad = brokenKernels(portableKernels(), "avx2");
+    std::vector<const LookupKernels *> reg = {&bad, &portableKernels()};
     std::string reason;
-    const LookupKernels &k = chooseKernels(nullptr, reg, &reason);
-    EXPECT_EQ(&scalarKernels(), &k);
-    EXPECT_NE(std::string::npos, reason.find("failed its self-check"))
+    const LookupKernels &k = chooseKernels(reg, &reason);
+    EXPECT_EQ(&portableKernels(), &k);
+    EXPECT_NE(std::string::npos,
+              reason.find("avx2 failed its self-check"))
+        << reason;
+    EXPECT_NE(std::string::npos,
+              reason.find("portable selected as fallback"))
         << reason;
 }
 
-TEST(KernelDispatch, BrokenExplicitNameFallsBackToNextGoodTable)
+TEST(KernelDispatch, CorruptPortableFallsBackToReference)
 {
-    LookupKernels bad = brokenKernels();
-    std::vector<const LookupKernels *> reg = {
-        &bad, &swarKernels(), &scalarKernels()};
+    LookupKernels bad = brokenKernels(portableKernels(), "portable");
+    std::vector<const LookupKernels *> reg = {&bad};
     std::string reason;
-    const LookupKernels &k = chooseKernels("broken", reg, &reason);
-    EXPECT_EQ(&swarKernels(), &k);
+    const LookupKernels &k = chooseKernels(reg, &reason);
+    EXPECT_EQ(&referenceKernels(), &k);
     EXPECT_NE(std::string::npos,
-              reason.find("failed its self-check"))
+              reason.find("portable failed its self-check"))
         << reason;
+    EXPECT_NE(std::string::npos, reason.find("last resort")) << reason;
 }
 
 TEST(KernelDispatch, ActiveTableIsRegisteredAndExplained)
@@ -124,13 +128,13 @@ TEST(KernelDispatch, ScopedOverrideAppliesAndRestores)
 {
     const LookupKernels &before = activeKernels();
     {
-        ScopedKernelOverride o(scalarKernels());
-        EXPECT_EQ(&scalarKernels(), &activeKernels());
+        ScopedKernelOverride o(referenceKernels());
+        EXPECT_EQ(&referenceKernels(), &activeKernels());
         {
-            ScopedKernelOverride inner(swarKernels());
-            EXPECT_EQ(&swarKernels(), &activeKernels());
+            ScopedKernelOverride inner(portableKernels());
+            EXPECT_EQ(&portableKernels(), &activeKernels());
         }
-        EXPECT_EQ(&scalarKernels(), &activeKernels());
+        EXPECT_EQ(&referenceKernels(), &activeKernels());
     }
     EXPECT_EQ(&before, &activeKernels());
 }

@@ -1,9 +1,11 @@
 /**
  * @file
- * Exhaustive scalar-vs-SWAR-vs-AVX2 kernel equivalence.
+ * Exhaustive kernel equivalence: every dispatchable table against
+ * the reference.
  *
- * Every table registeredKernels() exposes must agree bit for bit
- * with the scalar reference on every kernel, over a sweep of
+ * Every table registeredKernels() exposes (portable, and avx2 where
+ * the CPU has it) must agree bit for bit with referenceKernels() on
+ * every kernel, over a sweep of
  * associativities, field geometries, all four tag transforms,
  * misaligned plane offsets, all-invalid sets, and sets whose
  * truncated tags collide so the partial-compare step 2 must
@@ -76,7 +78,7 @@ validBitsOf(const SetPlanes &s, unsigned a)
 
 TEST(KernelEquivalence, EqMasksAgreeEverywhere)
 {
-    const LookupKernels &ref = scalarKernels();
+    const LookupKernels &ref = referenceKernels();
     Pcg32 rng(0x5eed0001, 11);
     for (const LookupKernels *k : registeredKernels()) {
         for (unsigned a : kAssocs) {
@@ -131,7 +133,7 @@ TEST(KernelEquivalence, EqMasksAgreeEverywhere)
 
 TEST(KernelEquivalence, PartialMaskAllTransformsAllFieldWidths)
 {
-    const LookupKernels &ref = scalarKernels();
+    const LookupKernels &ref = referenceKernels();
     const TransformKind kinds[] = {TransformKind::None,
                                    TransformKind::XorLow,
                                    TransformKind::Improved,
@@ -178,7 +180,7 @@ TEST(KernelEquivalence, PartialMaskAllTransformsAllFieldWidths)
 
 TEST(KernelEquivalence, PlaneDecodeHelpersAgree)
 {
-    const LookupKernels &ref = scalarKernels();
+    const LookupKernels &ref = referenceKernels();
     Pcg32 rng(0x5eed0003, 13);
     for (const LookupKernels *k : registeredKernels()) {
         for (unsigned n = 1; n <= 64; ++n) {
@@ -270,7 +272,7 @@ TEST(KernelEquivalence, StrategiesBitIdenticalUnderEveryTable)
             for (const auto &strat : strategies) {
                 LookupResult want;
                 {
-                    ScopedKernelOverride o(scalarKernels());
+                    ScopedKernelOverride o(referenceKernels());
                     want = strat->lookup(in);
                 }
                 for (const LookupKernels *k : registeredKernels()) {

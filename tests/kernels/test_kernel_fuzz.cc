@@ -9,7 +9,7 @@
  * small pool (collisions everywhere), a validity pattern, and an MRU
  * permutation. For each case we require
  *
- *  - every registered kernel table to produce the scalar table's
+ *  - every registered kernel table to produce the reference table's
  *    candidate masks (eq and partial, every transform), and
  *  - the MRU and partial-compare strategies, run under every table,
  *    to produce the (hit, way, probes) triple of an independent
@@ -223,10 +223,10 @@ runCase(std::uint64_t seed, std::uint64_t index,
         const std::vector<const LookupKernels *> &tables)
 {
     FuzzSet s = sampleSet(seed, index);
-    const LookupKernels &ref = scalarKernels();
+    const LookupKernels &ref = referenceKernels();
 
     // Candidate masks: eq and (for every divisor subset count that
-    // fits the tag width) partial, every table against scalar.
+    // fits the tag width) partial, every table against the reference.
     std::uint64_t vbits = 0;
     for (unsigned w = 0; w < s.assoc; ++w)
         vbits |= static_cast<std::uint64_t>(s.valid[w] != 0) << w;
