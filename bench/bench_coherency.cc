@@ -15,7 +15,6 @@
 #include <cstdio>
 #include <iostream>
 
-#include "mem/coherency.h"
 #include "support.h"
 
 using namespace assoc;
@@ -36,39 +35,36 @@ main(int argc, char **argv)
         std::printf("Coherency-invalidation study "
                     "(16K-16 L1, 256K-32 L2)\n\n");
 
-        for (double rate : {0.0, 0.001, 0.005, 0.02}) {
+        const double rates[] = {0.0, 0.001, 0.005, 0.02};
+        const unsigned assocs[] = {1u, 2u, 4u, 8u};
+        std::vector<RunSpec> specs;
+        for (double rate : rates) {
+            for (unsigned a : assocs) {
+                RunSpec spec;
+                spec.hier = mem::HierarchyConfig{
+                    mem::CacheGeometry(16384, 16, 1),
+                    mem::CacheGeometry(262144, 32, a), true};
+                spec.coherency_rate = rate;
+                spec.occupancy_sample_period = 10000;
+                specs.push_back(spec);
+            }
+        }
+        std::vector<RunOutput> outs =
+            bench::runSweep(specs, args, "coherency");
+        maybeWriteSweepJson(args, specs, outs);
+
+        std::size_t idx = 0;
+        for (double rate : rates) {
             TextTable table;
             table.setHeader({"Assoc", "Invalidations", "Occupancy",
                              "Local miss"});
-            for (unsigned a : {1u, 2u, 4u, 8u}) {
-                trace::AtumLikeConfig tcfg = traceConfig(args);
-                trace::AtumLikeGenerator gen(tcfg);
-                mem::HierarchyConfig hcfg{
-                    mem::CacheGeometry(16384, 16, 1),
-                    mem::CacheGeometry(262144, 32, a), true};
-                mem::TwoLevelHierarchy hier(hcfg);
-                mem::CoherencyTraffic remote(rate);
-
-                // Stream manually: one remote step per processor
-                // reference, sampling occupancy every 10k refs.
-                trace::MemRef r;
-                gen.reset();
-                double occupancy_sum = 0.0;
-                std::uint64_t samples = 0, n = 0;
-                while (gen.next(r)) {
-                    hier.access(r);
-                    remote.step(hier);
-                    if (++n % 10000 == 0) {
-                        occupancy_sum += mem::l2ValidFraction(hier);
-                        ++samples;
-                    }
-                }
+            for (unsigned a : assocs) {
+                const RunOutput &out = outs[idx++];
                 table.addRow(
                     {std::to_string(a),
-                     TextTable::num(remote.invalidations()),
-                     TextTable::num(occupancy_sum / samples, 4),
-                     TextTable::num(hier.stats().localMissRatio(),
-                                    4)});
+                     TextTable::num(out.coherency_invalidations),
+                     TextTable::num(out.mean_occupancy, 4),
+                     TextTable::num(out.stats.localMissRatio(), 4)});
             }
             std::printf("Invalidation rate %.3f per reference:\n\n",
                         rate);

@@ -520,13 +520,13 @@ void
 BM_TraceReplay(benchmark::State &state)
 {
     // The trace stage of an atumTraceFactory sweep job: batched
-    // pulls from the shared buffer, at the hierarchy's default
-    // batch of 64 (sim::RunSpec::batch_size).
+    // pulls from the shared buffer, at the hierarchy's replay batch.
+    constexpr std::size_t batch = mem::TwoLevelHierarchy::kReplayBatch;
     trace::VectorTraceSource src(replayRefs());
-    trace::MemRef buf[64];
+    trace::MemRef buf[batch];
     std::int64_t refs = 0;
     for (auto _ : state) {
-        std::size_t n = src.nextBatch(buf, 64);
+        std::size_t n = src.nextBatch(buf, batch);
         if (n == 0) {
             src.reset();
             continue;
@@ -590,17 +590,15 @@ BENCHMARK(BM_HierarchyWithMeters);
 void
 BM_HierarchyBatchedReplay(benchmark::State &state)
 {
-    // Whole-trace replay through TwoLevelHierarchy::run at a given
-    // RunSpec::batch_size (1 = the old per-reference loop; 64 = the
-    // default batched pull with set-plane prefetch).
+    // Whole-trace replay through TwoLevelHierarchy::run: batched
+    // pulls with set-plane prefetch, no per-access step.
     trace::VectorTraceSource src(replayRefs());
     mem::HierarchyConfig hcfg{mem::CacheGeometry(16384, 16, 1),
                               mem::CacheGeometry(262144, 32, 4),
                               true};
-    const unsigned batch = static_cast<unsigned>(state.range(0));
     for (auto _ : state) {
         mem::TwoLevelHierarchy hier(hcfg);
-        hier.run(src, batch);
+        hier.run(src);
         benchmark::DoNotOptimize(hier.stats().proc_refs);
     }
     state.SetItemsProcessed(
@@ -608,10 +606,7 @@ BM_HierarchyBatchedReplay(benchmark::State &state)
         static_cast<std::int64_t>(src.size()));
 }
 
-BENCHMARK(BM_HierarchyBatchedReplay)
-    ->Arg(1)
-    ->Arg(64)
-    ->Unit(benchmark::kMillisecond);
+BENCHMARK(BM_HierarchyBatchedReplay)->Unit(benchmark::kMillisecond);
 
 void
 BM_EndToEndTrace(benchmark::State &state)

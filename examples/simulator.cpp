@@ -128,18 +128,10 @@ main(int argc, char **argv)
             }
         }
 
-        double coherency = parser.getDouble("coherency");
-        if (coherency == 0.0) {
-            hier.run(*workload);
-        } else {
-            mem::CoherencyTraffic remote(coherency);
-            trace::MemRef r;
-            workload->reset();
-            while (workload->next(r)) {
-                hier.access(r);
-                remote.step(hier);
-            }
-        }
+        // One remote-invalidation step per processor reference (a
+        // no-op at the default rate 0).
+        mem::CoherencyTraffic remote(parser.getDouble("coherency"));
+        hier.run(*workload, [&] { remote.step(hier); });
         // A reader that stopped on a missing or damaged file must
         // fail the run, not print statistics over a prefix.
         trace::throwIfFailed(*workload);

@@ -9,11 +9,13 @@
  * -DASSOC_KERNELS_AVX2=OFF to compile them out entirely (the
  * no-AVX2 CI job, exotic toolchains).
  *
- * Layout per kernel: 8-lane AVX2 chunks, then a 4-lane SSE chunk,
- * then the shared scalar-tail bodies from kernels_inl.h — tails and
- * chunks must agree bit-for-bit, so the tail is never reimplemented
- * here. Tag-equality lanes become bitmasks via movemask on the
- * 32-bit compare results; validity bytes become bitmasks via a
+ * Layout per kernel: 8-lane AVX2 chunks, then (for the masks) a
+ * 4-lane SSE chunk, then a short scalar tail written inline in each
+ * kernel (avx2EqMask, avx2EqMaskBits, avx2ShiftTags). Tails and
+ * chunks must agree bit-for-bit with the reference bodies; the
+ * tests/kernels equivalence suite pins that at every associativity
+ * and offset. Tag-equality lanes become bitmasks via movemask on
+ * the 32-bit compare results; validity bytes become bitmasks via a
  * zero-compare + movemask on the byte lanes.
  */
 

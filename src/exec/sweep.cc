@@ -241,10 +241,8 @@ runOneJob(const std::vector<sim::RunSpec> &specs,
                        opts.job_timeout_ns != 0;
 
         sim::RunSpec spec = specs[i];
-        if (guarded) {
+        if (guarded)
             spec.cancel = &token;
-            spec.checkpoint_every = opts.checkpoint_every;
-        }
         spec.budget = budget;
 
         if (guards.watchdog)

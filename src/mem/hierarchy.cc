@@ -270,30 +270,11 @@ TwoLevelHierarchy::access(const trace::MemRef &ref)
 }
 
 void
-TwoLevelHierarchy::run(trace::TraceSource &src, unsigned batch)
+TwoLevelHierarchy::run(trace::TraceSource &src)
 {
-    src.reset();
-    if (batch <= 1) {
-        trace::MemRef r;
-        while (src.next(r))
-            access(r);
-        return;
-    }
-    std::vector<trace::MemRef> buf(batch);
-    for (;;) {
-        std::size_t n = src.nextBatch(buf.data(), batch);
-        if (n == 0)
-            return;
-        for (std::size_t i = 0; i < n; ++i) {
-            // Warm the next reference's set planes while this one
-            // executes; flush markers touch no set.
-            if (i + 1 < n && !buf[i + 1].isFlush()) {
-                l1_.prefetchSet(cfg_.l1.blockAddrOf(buf[i + 1].addr));
-                l2_.prefetchSet(cfg_.l2.blockAddrOf(buf[i + 1].addr));
-            }
-            access(buf[i]);
-        }
-    }
+    // Instantiated here, beside access(), so the plain replay may
+    // inline it.
+    run(src, [] {});
 }
 
 bool

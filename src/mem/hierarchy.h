@@ -18,6 +18,7 @@
 #ifndef ASSOC_MEM_HIERARCHY_H
 #define ASSOC_MEM_HIERARCHY_H
 
+#include <cstddef>
 #include <cstdint>
 #include <vector>
 
@@ -203,17 +204,31 @@ class TwoLevelHierarchy
     /** Apply one processor reference (or flush marker). */
     void access(const trace::MemRef &ref);
 
+    /** References run() pulls per TraceSource::nextBatch call. */
+    static constexpr std::size_t kReplayBatch = 64;
+
     /**
-     * Stream an entire trace through the hierarchy. With @p batch
-     * > 1, references are pulled @p batch at a time (one
-     * TraceSource::nextBatch call instead of @p batch virtual
-     * next() calls) and each access prefetches the next
-     * reference's level-one and level-two set planes while the
-     * current one executes. Accesses still commit strictly in
-     * trace order, one at a time — the statistics are bit-for-bit
-     * identical for every batch size (tests/kernels enforces it).
+     * Stream an entire trace (reset first) through the hierarchy:
+     * the one loop that replays a TraceSource. References are
+     * pulled kReplayBatch at a time (one TraceSource::nextBatch call
+     * instead of that many virtual next() calls) and each access
+     * prefetches the next reference's level-one and level-two set
+     * planes while the current one executes. Accesses still commit
+     * strictly in trace order, one at a time, so the statistics are
+     * bit-for-bit those of a per-record next()/access() loop
+     * (tests/kernels enforces it).
      */
-    void run(trace::TraceSource &src, unsigned batch = 1);
+    void run(trace::TraceSource &src);
+
+    /**
+     * run() with @p step called after every access, before the
+     * next one commits: the runner's remote coherency traffic,
+     * cancel checkpoints and occupancy samples. A step may throw to
+     * stop the stream. The plain run() is this loop with an empty
+     * step, so it carries no per-access cost.
+     */
+    template <class Step>
+    void run(trace::TraceSource &src, Step &&step);
 
     /** Invalidate both levels (cold start). */
     void flushAll();
@@ -278,6 +293,26 @@ class TwoLevelHierarchy
     MemorySide *mem_side_ = nullptr;
     HierarchyStats stats_;
 };
+
+template <class Step>
+void
+TwoLevelHierarchy::run(trace::TraceSource &src, Step &&step)
+{
+    src.reset();
+    trace::MemRef buf[kReplayBatch];
+    while (std::size_t n = src.nextBatch(buf, kReplayBatch)) {
+        for (std::size_t i = 0; i < n; ++i) {
+            // Warm the next reference's set planes while this one
+            // executes; flush markers touch no set.
+            if (i + 1 < n && !buf[i + 1].isFlush()) {
+                l1_.prefetchSet(cfg_.l1.blockAddrOf(buf[i + 1].addr));
+                l2_.prefetchSet(cfg_.l2.blockAddrOf(buf[i + 1].addr));
+            }
+            access(buf[i]);
+            step();
+        }
+    }
+}
 
 } // namespace mem
 } // namespace assoc

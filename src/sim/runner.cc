@@ -47,35 +47,29 @@ runTrace(trace::TraceSource &src, const RunSpec &spec)
     }
 
     RunOutput out;
+    const CancelToken *cancel = spec.cancel;
+    if (cancel) {
+        // Checkpoint zero: a token tripped before the stream starts
+        // stops the job without pulling a record.
+        Expected<void> go = cancel->checkpoint();
+        if (!go.ok())
+            throwError(Error(go.error()).withContext("before streaming"));
+    }
 
-    if (spec.cancel == nullptr && spec.coherency_rate == 0.0 &&
+    if (cancel == nullptr && spec.coherency_rate == 0.0 &&
         spec.occupancy_sample_period == 0) {
-        // Fast path: plain streaming, exactly as without any of the
-        // optional machinery. Cancellation checkpoints only exist on
-        // the manual loop below, so specs without a token (every
-        // benchmark) pay nothing.
-        hier.run(src, spec.batch_size);
+        // Nothing to do per access: the plain run(), compiled beside
+        // access() so that the hot call inlines.
+        hier.run(src);
     } else {
         mem::CoherencyTraffic remote(spec.coherency_rate);
-        trace::MemRef r;
-        src.reset();
         std::uint64_t n = 0;
         double occ_sum = 0.0;
         std::uint64_t occ_samples = 0;
-        const CancelToken *cancel = spec.cancel;
         const std::uint64_t every =
             spec.checkpoint_every ? spec.checkpoint_every : 1;
         std::uint64_t until_checkpoint = every;
-        if (cancel) {
-            // Checkpoint zero: a token tripped before the stream
-            // starts stops the job without touching the trace.
-            Expected<void> go = cancel->checkpoint();
-            if (!go.ok())
-                throwError(Error(go.error())
-                               .withContext("before streaming"));
-        }
-        while (src.next(r)) {
-            hier.access(r);
+        hier.run(src, [&] {
             if (spec.coherency_rate > 0.0)
                 remote.step(hier);
             ++n;
@@ -93,7 +87,7 @@ runTrace(trace::TraceSource &src, const RunSpec &spec)
                 occ_sum += mem::l2ValidFraction(hier);
                 ++occ_samples;
             }
-        }
+        });
         if (occ_samples != 0)
             out.mean_occupancy = occ_sum / occ_samples;
         out.coherency_invalidations = remote.invalidations();

@@ -61,23 +61,12 @@ struct RunSpec
      *  e.g. the invariant checkers in src/check. */
     std::vector<mem::L2Observer *> extra_observers;
 
-    /**
-     * References pulled per TraceSource::nextBatch call on the
-     * streaming fast path (with set-plane prefetch between
-     * accesses; see mem::TwoLevelHierarchy::run). 0 or 1 disables
-     * batching. Results are bit-identical at every batch size, so
-     * hashSpecs() ignores this too; the checkpointed loop below
-     * streams one reference at a time regardless, keeping
-     * cancellation latency in accesses, not batches.
-     */
-    unsigned batch_size = 64;
-
     // --- runaway-work defenses (see util/cancel.h). None of these
     // --- influence results, so hashSpecs() ignores them.
 
-    /** Cooperative cancel/deadline token, polled every
-     *  checkpoint_every accesses (not owned; null = never stop).
-     *  When null the streaming fast path is untouched. */
+    /** Cooperative cancel/deadline token, polled once before the
+     *  first record is pulled and then every checkpoint_every
+     *  accesses (not owned; null = never stop). */
     const CancelToken *cancel = nullptr;
     /**
      * Accesses between cancellation checkpoints. A fixed cadence in
@@ -108,7 +97,9 @@ struct RunOutput
 
 /**
  * Stream @p src (reset first) through the hierarchy of @p spec with
- * one probe meter per scheme.
+ * one probe meter per scheme. The stream goes through
+ * mem::TwoLevelHierarchy::run; coherency traffic, cancel
+ * checkpoints and occupancy samples ride on its per-access step.
  */
 RunOutput runTrace(trace::TraceSource &src, const RunSpec &spec);
 

@@ -168,18 +168,6 @@ Session::quotaTokens() const
     return bucket_.tokens(svc_->admission().config());
 }
 
-OpResult
-Session::probeAddr(trace::Addr a)
-{
-    return probe(svc_->geom().blockAddrOf(a));
-}
-
-OpResult
-Session::accessAddr(trace::Addr a, bool is_write)
-{
-    return access(svc_->geom().blockAddrOf(a), is_write);
-}
-
 // --- CacheService ------------------------------------------------
 
 CacheService::CacheService(std::unique_ptr<ConcurrentCache> engine,

@@ -98,10 +98,6 @@ class Session
     /** Dispatch @p kind (@p is_write doubles as Fill's dirty bit). */
     OpResult apply(OpKind kind, mem::BlockAddr b, bool is_write);
 
-    // --- byte-address convenience (the client-facing interface) --
-    OpResult probeAddr(trace::Addr a);
-    OpResult accessAddr(trace::Addr a, bool is_write);
-
     // --- the overload-safe request path ---------------------------
     /**
      * Chain this session's requests to @p token: a tripped token

@@ -228,8 +228,8 @@ main(int argc, char **argv)
                    "corrupt: tear the index AND zero the header "
                    "total — a writer killed before finish()");
     args.addSwitch("no-prefetch",
-                   "verify/unpack: disable the double-buffered "
-                   "prefetch thread");
+                   "verify: disable the double-buffered prefetch "
+                   "thread");
     args.addFlag("jobs", "0", "sweep: worker threads (0 = all)");
     args.addFlag("json", "", "sweep: write results here ('-' stdout)");
     args.addFlag("journal", "", "sweep: checkpoint journal path");
