@@ -541,6 +541,41 @@ BM_TraceReplay(benchmark::State &state)
 BENCHMARK(BM_TraceReplay);
 
 void
+BM_CacheDirectMappedAccess(benchmark::State &state)
+{
+    // The level-one stage of the Table 3 hierarchy on its own: a
+    // 16K-16 direct-mapped cache making the hierarchy's level-one
+    // calls over the replay trace (hit: touch, plus setDirty on a
+    // write; miss: fill).
+    const std::vector<trace::MemRef> &refs = *replayRefs();
+    const mem::CacheGeometry geom(16384, 16, 1);
+    mem::WriteBackCache cache(geom);
+    std::size_t i = 0;
+    for (auto _ : state) {
+        const trace::MemRef &r = refs[i];
+        if (++i == refs.size())
+            i = 0;
+        if (r.isFlush()) {
+            cache.flush();
+            continue;
+        }
+        mem::BlockAddr b = geom.blockAddrOf(r.addr);
+        int way = cache.findWay(b);
+        if (way >= 0) {
+            std::uint32_t set = geom.setOf(b);
+            cache.touch(set, way);
+            if (r.isWrite())
+                cache.setDirty(set, way);
+        } else {
+            benchmark::DoNotOptimize(cache.fill(b, r.isWrite()));
+        }
+    }
+    state.SetItemsProcessed(state.iterations());
+}
+
+BENCHMARK(BM_CacheDirectMappedAccess);
+
+void
 BM_HierarchySimulation(benchmark::State &state)
 {
     const std::vector<trace::MemRef> &refs = *replayRefs();

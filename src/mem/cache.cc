@@ -29,22 +29,8 @@ replPolicyName(ReplPolicy policy)
 
 namespace {
 
-/**
- * Publish one plane store as a relaxed atomic (a plain mov on
- * mainstream ISAs). Mutators are serialized per set by the caller
- * (src/svc's stripe locks), but probeRelaxed() readers race with
- * these stores by design — relaxed atomics make that defined
- * behavior and keep ThreadSanitizer quiet; the seqlock above
- * discards any torn view.
- */
-template <class T>
-inline void
-planeStore(T &loc, T v)
-{
-    std::atomic_ref<T>(loc).store(v, std::memory_order_relaxed);
-}
-
-/** Matching relaxed atomic load for the optimistic read path. */
+/** Relaxed atomic load for the optimistic read path, matching
+ *  WriteBackCache::planeStore(). */
 template <class T>
 inline T
 planeLoad(const T &loc)
@@ -154,13 +140,8 @@ WriteBackCache::resetOrder(std::uint32_t set)
 }
 
 int
-WriteBackCache::findWay(BlockAddr b) const
+WriteBackCache::findWayMulti(std::uint32_t set, BlockAddr b) const
 {
-    std::uint32_t set = geom_.setOf(b);
-    // Direct-mapped fast path: one bit, one compare.
-    if (assoc_ == 1)
-        return ((valid_[set] & 1) != 0 && blocks_[set] == b) ? 0
-                                                             : -1;
     const BlockAddr *blk = &blocks_[index(set, 0)];
     const std::uint64_t *vw =
         &valid_[static_cast<std::size_t>(set) * vwords_];
@@ -356,25 +337,11 @@ WriteBackCache::plruVictim(std::uint32_t set) const
 }
 
 void
-WriteBackCache::touch(std::uint32_t set, int way)
+WriteBackCache::touchMulti(std::uint32_t set, int way)
 {
-    panicIf(way < 0 || static_cast<std::uint32_t>(way) >= assoc_,
-            "touch: bad way");
-    if (assoc_ == 1)
-        return; // a one-entry order cannot change
     makeMru(set, way);
     if (policy_ == ReplPolicy::TreePlru)
         plruTouch(set, way);
-}
-
-void
-WriteBackCache::setDirty(std::uint32_t set, int way)
-{
-    unsigned w = static_cast<unsigned>(way);
-    panicIf(!validBit(set, w), "setDirty on an invalid line");
-    std::size_t mi = maskIndex(set, w);
-    planeStore(dirty_[mi],
-               dirty_[mi] | (std::uint64_t{1} << (w & 63)));
 }
 
 int
@@ -397,7 +364,7 @@ WriteBackCache::victimWay(std::uint32_t set) const
       case ReplPolicy::Random:
         return static_cast<int>(rng_.below(assoc_));
       case ReplPolicy::TreePlru:
-        return assoc_ == 1 ? 0 : plruVictim(set);
+        return plruVictim(set);
     }
     panic("bad replacement policy");
 }
@@ -408,6 +375,23 @@ WriteBackCache::fill(BlockAddr b, bool dirty)
     panicIf(findWay(b) >= 0, "fill: block already present");
     std::uint32_t set = geom_.setOf(b);
     FillResult res;
+    if (assoc_ == 1) {
+        // A one-frame set: the victim is way 0 under every policy (a
+        // Random draw is below(1) == 0, and nothing else reads the
+        // generator), and its one-slot MRU and fill-age orders stay
+        // {0}, so victimWay() and both promotions are skipped. Bit 0
+        // is the only bit a one-way set's mask words ever hold.
+        res.way = 0;
+        if (valid_[set] & 1) {
+            res.evicted = true;
+            res.victim_block = blocks_[set];
+            res.victim_dirty = (dirty_[set] & 1) != 0;
+        }
+        planeStore(blocks_[set], b);
+        planeStore(valid_[set], std::uint64_t{1});
+        planeStore(dirty_[set], std::uint64_t{dirty ? 1u : 0u});
+        return res;
+    }
     res.way = victimWay(set);
 
     unsigned w = static_cast<unsigned>(res.way);
@@ -430,7 +414,7 @@ WriteBackCache::fill(BlockAddr b, bool dirty)
     // Fill-age bookkeeping (drives the Fifo policy; cheap enough to
     // maintain unconditionally).
     orderPromote(fifo_packed_, fifo_wide_, set, w);
-    if (policy_ == ReplPolicy::TreePlru && assoc_ > 1)
+    if (policy_ == ReplPolicy::TreePlru)
         plruTouch(set, res.way);
     return res;
 }

@@ -21,6 +21,14 @@
  * vector-of-Line / vector-of-vector representation (enforced by the
  * randomized equivalence tests in tests/mem/test_recency_packed.cc).
  *
+ * The per-reference hit path is inline in this header: findWay()'s
+ * direct-mapped test, touch() and setDirty(), so the hierarchy's
+ * level-one access compiles to a compare and a mask store. The
+ * multi-way bodies (findWayMulti(), touchMulti()) and everything
+ * else stay out of line in cache.cc. A one-way set's recency and
+ * fill-age orders are the constant {0}, so touch() and fill() skip
+ * their bookkeeping when assoc == 1.
+ *
  * Concurrency contract (the substrate of src/svc's seqlock): every
  * mutator publishes its plane stores as relaxed std::atomic_ref
  * stores (a plain mov on mainstream ISAs, so the single-threaded
@@ -36,10 +44,12 @@
 #ifndef ASSOC_MEM_CACHE_H
 #define ASSOC_MEM_CACHE_H
 
+#include <atomic>
 #include <cstdint>
 #include <vector>
 
 #include "mem/geometry.h"
+#include "util/logging.h"
 #include "util/rng.h"
 
 namespace assoc {
@@ -117,7 +127,16 @@ class WriteBackCache
      * Pure lookup: which way holds block @p b?
      * @return way index, or -1 on miss. No state changes.
      */
-    int findWay(BlockAddr b) const;
+    int
+    findWay(BlockAddr b) const
+    {
+        std::uint32_t set = geom_.setOf(b);
+        // Direct-mapped fast path: one bit, one compare.
+        if (assoc_ == 1)
+            return ((valid_[set] & 1) != 0 && blocks_[set] == b) ? 0
+                                                                 : -1;
+        return findWayMulti(set, b);
+    }
 
     /**
      * Pure lookup for the concurrent service's optimistic read path:
@@ -136,10 +155,26 @@ class WriteBackCache
     int probeRelaxed(BlockAddr b, unsigned *probes) const;
 
     /** Promote (set, way) to most recently used. */
-    void touch(std::uint32_t set, int way);
+    void
+    touch(std::uint32_t set, int way)
+    {
+        panicIf(way < 0 || static_cast<std::uint32_t>(way) >= assoc_,
+                "touch: bad way");
+        if (assoc_ == 1)
+            return; // a one-entry order cannot change
+        touchMulti(set, way);
+    }
 
     /** Mark (set, way) dirty (a write hit or write-back arrival). */
-    void setDirty(std::uint32_t set, int way);
+    void
+    setDirty(std::uint32_t set, int way)
+    {
+        unsigned w = static_cast<unsigned>(way);
+        panicIf(!validBit(set, w), "setDirty on an invalid line");
+        std::size_t mi = maskIndex(set, w);
+        planeStore(dirty_[mi],
+                   dirty_[mi] | (std::uint64_t{1} << (w & 63)));
+    }
 
     /**
      * Allocate block @p b, evicting the least-recently-used line of
@@ -244,6 +279,26 @@ class WriteBackCache
     }
 
   private:
+    /**
+     * Publish one plane store as a relaxed atomic (a plain mov on
+     * mainstream ISAs). Mutators are serialized per set by the
+     * caller (src/svc's stripe locks), but probeRelaxed() readers
+     * race with these stores by design; relaxed atomics make that
+     * defined behavior and keep ThreadSanitizer quiet, and the
+     * seqlock above discards any torn view.
+     */
+    template <class T>
+    static void
+    planeStore(T &loc, T v)
+    {
+        std::atomic_ref<T>(loc).store(v, std::memory_order_relaxed);
+    }
+
+    /** findWay() for assoc > 1. */
+    int findWayMulti(std::uint32_t set, BlockAddr b) const;
+    /** touch() for assoc > 1: MRU promotion and tree-PLRU bits. */
+    void touchMulti(std::uint32_t set, int way);
+
     std::size_t
     index(std::uint32_t set, int way) const
     {

@@ -13,7 +13,16 @@ Session::Session(CacheService *svc, std::uint32_t tenant,
                  MemCharge charge)
     : svc_(svc), tenant_(tenant), name_(std::move(name)),
       history_(history_capacity), charge_(std::move(charge))
-{}
+{
+    // The shed messages depend only on the tenant and the fixed
+    // admission policy: built once here, so a shed only copies one.
+    const char *policy =
+        shedPolicyName(svc_->admission().config().policy);
+    shed_quota_msg_ =
+        "tenant " + name_ + " over quota (policy " + policy + ")";
+    shed_write_msg_ = "tenant " + name_ +
+                      " over quota: write shed (policy " + policy + ")";
+}
 
 mem::BlockAddr
 Session::saltedBlock(mem::BlockAddr b) const
@@ -110,14 +119,10 @@ Session::request(OpKind kind, mem::BlockAddr b, bool is_write,
     switch (d) {
       case AdmitDecision::ShedQuota:
         ++a.shed_quota;
-        return Error::overloaded(
-            "tenant " + name_ + " over quota (policy " +
-            shedPolicyName(svc_->admission().config().policy) + ")");
+        return Error::overloaded(shed_quota_msg_);
       case AdmitDecision::ShedWrite:
         ++a.shed_writes;
-        return Error::overloaded(
-            "tenant " + name_ + " over quota: write shed (policy " +
-            shedPolicyName(svc_->admission().config().policy) + ")");
+        return Error::overloaded(shed_write_msg_);
       case AdmitDecision::Degrade:
         // Counted at verdict time, not completion: the verdict is a
         // pure function of the tenant's stream, so the counter stays

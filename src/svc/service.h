@@ -160,6 +160,9 @@ class Session
     CacheService *svc_;
     std::uint32_t tenant_;
     std::string name_;
+    /** Error::overloaded() texts for ShedQuota and ShedWrite. */
+    std::string shed_quota_msg_;
+    std::string shed_write_msg_;
     TenantStats stats_;
     HistoryLog history_;
     MemCharge charge_;

@@ -11,10 +11,13 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <cstdint>
 #include <cstdlib>
+#include <memory>
 #include <new>
+#include <string>
 #include <vector>
 
 #include "core/scheme.h"
@@ -223,6 +226,81 @@ TEST(AllocFree, AdmittedSessionRequestsDoNotAllocate)
     quota.admission.refill_num = 1;
     quota.admission.refill_den = 1;
     EXPECT_EQ(sessionRequestAllocs(quota), 0u);
+}
+
+/** Per-request allocation bounds over 100k write requests through a
+ *  quota of 4/5 token per request under @p policy: the largest
+ *  count made by one admitted and by one shed request, and the
+ *  number shed. Every shed's text is checked against @p want. */
+struct ShedAllocs
+{
+    std::uint64_t max_admitted = 0;
+    std::uint64_t max_shed = 0;
+    std::uint64_t shed = 0;
+};
+
+ShedAllocs
+writeFloodAllocs(svc::ShedPolicy policy, const std::string &want)
+{
+    svc::SvcConfig cfg;
+    cfg.admission.enabled = true;
+    cfg.admission.refill_num = 4;
+    cfg.admission.refill_den = 5;
+    cfg.admission.policy = policy;
+    Expected<std::unique_ptr<svc::CacheService>> e =
+        svc::CacheService::create(mem::CacheGeometry(16384, 32, 8),
+                                  cfg);
+    EXPECT_TRUE(e.ok());
+    std::unique_ptr<svc::CacheService> service = e.take();
+    Expected<svc::Session *> opened = service->openSession("alloc");
+    EXPECT_TRUE(opened.ok());
+    svc::Session *s = opened.take();
+
+    const std::uint64_t blocks = 4 * 16384 / 32;
+    // One-time lazy initialization (kernel dispatch) is not counted.
+    EXPECT_TRUE(s->request(svc::OpKind::Access, 0, true).ok());
+    ShedAllocs out;
+    for (std::uint64_t i = 0; i < 100000; ++i) {
+        mem::BlockAddr b = (i * 2654435761u) % blocks;
+        std::uint64_t before = allocs();
+        Expected<svc::OpResult> r =
+            s->request(svc::OpKind::Access, b, true);
+        std::uint64_t made = allocs() - before;
+        if (r.ok()) {
+            out.max_admitted = std::max(out.max_admitted, made);
+            continue;
+        }
+        ++out.shed;
+        out.max_shed = std::max(out.max_shed, made);
+        EXPECT_EQ(r.error().code(), ErrorCode::Overloaded);
+        if (r.error().message() != want) {
+            ADD_FAILURE() << "shed text: " << r.error().message();
+            break;
+        }
+    }
+    return out;
+}
+
+TEST(AllocFree, ShedRequestsAllocateOnlyTheirErrorText)
+{
+    // Drop-writes-first sheds every over-quota write (ShedWrite);
+    // reject-new sheds every over-quota request (ShedQuota). The
+    // shed text is built once per session: a shed copies it into
+    // its Error (one allocation) and concatenates nothing.
+    ShedAllocs writes = writeFloodAllocs(
+        svc::ShedPolicy::DropWritesFirst,
+        "tenant alloc over quota: write shed (policy "
+        "drop-writes-first)");
+    EXPECT_GT(writes.shed, 10000u);
+    EXPECT_LE(writes.max_shed, 1u);
+    EXPECT_EQ(writes.max_admitted, 0u);
+
+    ShedAllocs quota = writeFloodAllocs(
+        svc::ShedPolicy::RejectNew,
+        "tenant alloc over quota (policy reject-new)");
+    EXPECT_GT(quota.shed, 10000u);
+    EXPECT_LE(quota.max_shed, 1u);
+    EXPECT_EQ(quota.max_admitted, 0u);
 }
 
 TEST(AllocFree, AtumLikeGeneratorAllocatesRarely)

@@ -9,6 +9,7 @@
 
 #include <algorithm>
 #include <cstdint>
+#include <string>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -134,11 +135,97 @@ TEST_P(RecencyEquivalence, MatchesReferenceVectors)
     runEquivalence(GetParam(), 0xc0ffee + GetParam());
 }
 
-// 2..16 exercises the packed 4-bit representation (including the
-// full 16-slot word); 32 exercises the wide byte fallback.
-// (CacheGeometry only admits power-of-two associativities.)
+// 1 exercises the direct-mapped short cuts in touch() and fill();
+// 2..16 the packed 4-bit representation (including the full 16-slot
+// word); 32 the wide byte fallback. (CacheGeometry only admits
+// power-of-two associativities.)
 INSTANTIATE_TEST_SUITE_P(Assoc, RecencyEquivalence,
-                         ::testing::Values(2u, 4u, 8u, 16u, 32u));
+                         ::testing::Values(1u, 2u, 4u, 8u, 16u, 32u));
+
+/** Reference model of one direct-mapped frame. */
+struct RefFrame
+{
+    bool valid = false;
+    bool dirty = false;
+    BlockAddr block = 0;
+};
+
+class DirectMapped : public ::testing::TestWithParam<ReplPolicy>
+{};
+
+/**
+ * A one-way cache skips victim selection and recency bookkeeping
+ * (its orders are the constant {0}); under every policy it must
+ * still behave like a plain direct-mapped frame array through a
+ * seeded fill/touch/setDirty/invalidate/flush stream.
+ */
+TEST_P(DirectMapped, MatchesFrameModel)
+{
+    const CacheGeometry geom(256, 16, 1); // 16 sets
+    WriteBackCache cache(geom, GetParam(), 7);
+    std::vector<RefFrame> ref(geom.sets());
+    const std::vector<std::uint8_t> zero = {0};
+    Pcg32 rng(0xd1ec7 + static_cast<unsigned>(GetParam()));
+
+    for (int step = 0; step < 20000; ++step) {
+        // 4 blocks per set compete for each frame.
+        const BlockAddr b = rng.below(4 * geom.sets());
+        const std::uint32_t set = geom.setOf(b);
+        RefFrame &f = ref[set];
+        const bool present = f.valid && f.block == b;
+        ASSERT_EQ(cache.findWay(b), present ? 0 : -1)
+            << "step " << step;
+        const double roll = rng.uniform();
+        if (roll < 0.5) {
+            if (present) {
+                cache.touch(set, 0);
+            } else {
+                bool dirty = rng.chance(0.4);
+                FillResult fr = cache.fill(b, dirty);
+                EXPECT_EQ(fr.way, 0) << "step " << step;
+                EXPECT_EQ(fr.evicted, f.valid) << "step " << step;
+                EXPECT_EQ(fr.victim_block, f.valid ? f.block : 0)
+                    << "step " << step;
+                EXPECT_EQ(fr.victim_dirty, f.valid && f.dirty)
+                    << "step " << step;
+                f = RefFrame{true, dirty, b};
+            }
+        } else if (roll < 0.75) {
+            if (present) {
+                cache.setDirty(set, 0);
+                f.dirty = true;
+            }
+        } else if (roll < 0.99) {
+            EXPECT_EQ(cache.invalidate(b), present && f.dirty)
+                << "step " << step;
+            if (present)
+                f.valid = f.dirty = false;
+        } else {
+            cache.flush();
+            for (RefFrame &r : ref)
+                r.valid = r.dirty = false;
+        }
+
+        Line l = cache.line(set, 0);
+        ASSERT_EQ(l.valid, f.valid) << "step " << step;
+        ASSERT_EQ(l.dirty, f.dirty) << "step " << step;
+        if (f.valid) {
+            ASSERT_EQ(l.block, f.block) << "step " << step;
+        }
+        ASSERT_EQ(cache.validCount(set), f.valid ? 1u : 0u);
+        ASSERT_EQ(cache.victimWay(set), 0);
+        ASSERT_EQ(cache.mruOrder(set), zero) << "step " << step;
+        ASSERT_EQ(cache.fifoOrder(set), zero) << "step " << step;
+    }
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Policy, DirectMapped,
+    ::testing::Values(ReplPolicy::Lru, ReplPolicy::Fifo,
+                      ReplPolicy::Random, ReplPolicy::TreePlru),
+    [](const ::testing::TestParamInfo<ReplPolicy> &info) {
+        return std::string(replPolicyName(info.param));
+    });
 
 TEST(RecencyPacked, ColdStartRotationVariesBySet)
 {

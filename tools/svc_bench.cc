@@ -24,7 +24,10 @@
  * exponential backoff (util/backoff.h, --retry-attempts). The
  * admission summary line prints the deterministic shed counters
  * (bit-identical across same-seed reruns when retries are driven
- * only by quota verdicts, i.e. --max-inflight=0):
+ * only by quota verdicts, i.e. --max-inflight=0). The sleeps count
+ * in the timed run, so Mops/s in this mode measures the backing-off
+ * client, not the service; the table's backoff-s column sums the
+ * clients' measured sleep time (thread-seconds):
  *
  *   svc_bench --quota-rate=1/2 --quota-burst=16 --flood-tenant=8
  *   svc_bench --quota-rate=1/3 --shed-policy=degrade-reads \
@@ -162,6 +165,7 @@ struct RunRow
     std::uint64_t violations = 0;
     std::uint64_t client_retries = 0;  ///< backoff re-attempts
     std::uint64_t client_gave_up = 0;  ///< ops shed to exhaustion
+    double client_backoff_s = 0.0;     ///< summed backoff sleeps
 };
 
 } // namespace
@@ -348,6 +352,7 @@ main(int argc, char **argv)
 
             std::vector<std::uint64_t> retries(n, 0);
             std::vector<std::uint64_t> gave_up(n, 0);
+            std::vector<double> backoff_s(n, 0.0);
             auto t0 = std::chrono::steady_clock::now();
             std::vector<std::thread> workers;
             for (unsigned t = 0; t < n; ++t) {
@@ -371,6 +376,17 @@ main(int argc, char **argv)
                     policy.initial_ns = 10 * 1000;        // 10us
                     policy.max_ns = 1000 * 1000;          // 1ms
                     policy.seed = seed ^ (0x5eedull << 8) ^ t;
+                    // Time the real sleeps: they are part of the
+                    // timed run, so the overload table shows how
+                    // much of it the client spent backing off.
+                    BackoffSleeper sleeper = [&, t](std::uint64_t ns) {
+                        auto s0 = std::chrono::steady_clock::now();
+                        backoffSleep(ns);
+                        backoff_s[t] +=
+                            std::chrono::duration<double>(
+                                std::chrono::steady_clock::now() - s0)
+                                .count();
+                    };
                     for (const check::SvcOpSpec &op : streams[t]) {
                         RetryOutcome r = retryOverloaded(
                             [&]() -> Error {
@@ -387,7 +403,7 @@ main(int argc, char **argv)
                                 return res.ok() ? Error()
                                                 : res.error();
                             },
-                            policy, retry_attempts, &root);
+                            policy, retry_attempts, &root, sleeper);
                         if (r.attempts > 1)
                             retries[t] += r.attempts - 1;
                         if (!r.error.ok()) {
@@ -424,6 +440,7 @@ main(int argc, char **argv)
             for (unsigned t = 0; t < n; ++t) {
                 row.client_retries += retries[t];
                 row.client_gave_up += gave_up[t];
+                row.client_backoff_s += backoff_s[t];
             }
 
             if (verify) {
@@ -457,6 +474,7 @@ main(int argc, char **argv)
             header.push_back("shed%");
             header.push_back("degraded");
             header.push_back("client-retries");
+            header.push_back("backoff-s");
         }
         if (verify)
             header.push_back("verified");
@@ -505,6 +523,8 @@ main(int argc, char **argv)
                 cells.push_back(TextTable::num(a.degraded));
                 cells.push_back(
                     TextTable::num(row.client_retries));
+                cells.push_back(
+                    TextTable::num(row.client_backoff_s, 3));
             }
             if (verify)
                 cells.push_back(row.verified_ok ? "ok"
